@@ -22,7 +22,6 @@ from .estimator import (
 from .exceptions import (
     CholeskyFailure,
     DegenerateInput,
-    NegativeVariance,
     RvolestError,
     SingularGamma,
     UnknownModel,
@@ -40,8 +39,6 @@ from .likelihood import (
     scaled_increments,
 )
 from .mathcore import (
-    GaussKernel,
-    SpdMatrix,
     eps_dprime,
     eps_prime,
     gauss_biquadratic_moment,

@@ -17,8 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CholeskyFailure, DegenerateInput
-from .likelihood import ObservationPath, covariate_block, scaled_increments
+from .exceptions import DegenerateInput
+from .likelihood import (
+    ObservationPath,
+    _check_positive,
+    covariate_block,
+    scaled_increments,
+)
 from .mathcore import chol_spd
 from .model import ModelSpec
 
@@ -30,16 +35,11 @@ def residuals(path: ObservationPath, model: ModelSpec, theta_hat) -> np.ndarray:
     eps = scaled_increments(path)
     if model.d == 1:
         s = np.asarray(model.s_values(x_block, theta_hat), dtype=float)
-        bad = ~(np.isfinite(s) & (s > 0))
-        if np.any(bad):
-            raise CholeskyFailure(index=int(np.argmax(bad)) + 1)
+        _check_positive(s)
         return np.abs(eps[:, 0]) / np.sqrt(s)
     s_all = model.s_values(x_block, theta_hat).reshape(path.n, model.d, model.d)
-    out = np.empty(path.n)
-    for j in range(path.n):
-        lower = chol_spd(s_all[j], index=j + 1)
-        out[j] = np.linalg.norm(np.linalg.solve(lower, eps[j]))
-    return out
+    z = np.linalg.solve(chol_spd(s_all), eps[:, :, None])[:, :, 0]
+    return np.linalg.norm(z, axis=1)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,11 @@ from .likelihood import (
     ObservationPath,
     RobustConfig,
     Variant,
+    _check_positive,
     covariate_block,
     value_and_grad,
 )
-from .mathcore import chol_spd, eps_dprime, eps_prime, k_const
+from .mathcore import chol_spd, eps_dprime, eps_prime, k_const, whitened_derivatives
 from .model import ModelSpec
 
 
@@ -85,30 +86,19 @@ def _trace_stats(path: ObservationPath, model: ModelSpec, theta: np.ndarray):
     Returns (log_det (n,), t (n, p), v (n, p, p)); for d = 1, v = t (x) t.
     """
     x_block = covariate_block(path, model)
-    n, p = path.n, model.p
-    if model.d == 1:
+    n, d, p = path.n, model.d, model.p
+    if d == 1:
         s = np.asarray(model.s_values(x_block, theta), dtype=float)
-        bad = ~(np.isfinite(s) & (s > 0))
-        if np.any(bad):
-            raise CholeskyFailure(index=int(np.argmax(bad)) + 1)
+        _check_positive(s)
         t = model.ds_values(x_block, theta) / s[:, None]
         v = t[:, :, None] * t[:, None, :]
         return np.log(s), t, v
-    s_all = model.s_values(x_block, theta).reshape(n, model.d, model.d)
-    ds_all = model.ds_values(x_block, theta).reshape(n, p, model.d, model.d)
-    log_det = np.empty(n)
-    t = np.empty((n, p))
-    v = np.empty((n, p, p))
-    for j in range(n):
-        lower = chol_spd(s_all[j], index=j + 1)
-        log_det[j] = 2.0 * float(np.log(np.diagonal(lower)).sum())
-        m = np.empty((p, model.d, model.d))
-        for k in range(p):
-            m[k] = np.linalg.solve(lower.T, np.linalg.solve(lower, ds_all[j, k]))
-            t[j, k] = np.trace(m[k])
-        for k in range(p):
-            for l in range(k, p):
-                v[j, k, l] = v[j, l, k] = np.trace(m[k] @ m[l])
+    lower = chol_spd(model.s_values(x_block, theta).reshape(n, d, d))
+    a = whitened_derivatives(lower, model.ds_values(x_block, theta).reshape(n, p, d, d))
+    log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+    t = np.trace(a, axis1=2, axis2=3)
+    flat = a.reshape(n, p, d * d)
+    v = flat @ flat.transpose(0, 2, 1)  # tr(A_k A_l), A_l symmetric
     return log_det, t, v
 
 

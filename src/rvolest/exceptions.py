@@ -27,13 +27,5 @@ class SingularGamma(RvolestError):
     """Plug-in curvature matrix is numerically singular; no sandwich variance."""
 
 
-class NegativeVariance(RvolestError):
-    """A diagonal sandwich-variance entry came out negative.
-
-    Not raised during estimation: negative-variance coordinates are reported
-    in the result diagnostics and their intervals omitted.
-    """
-
-
 class DegenerateInput(RvolestError):
     """Input data carries no usable variation (e.g. all values identical)."""

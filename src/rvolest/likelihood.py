@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CholeskyFailure
-from .mathcore import LOG_2PI, chol_spd, k_const
+from .mathcore import LOG_2PI, chol_spd, k_const, whitened_derivatives
 from .model import CovariateSource, ModelSpec
 
 DEFAULT_LAMBDA_BAR = 2.0
@@ -67,13 +67,6 @@ class ObservationPath:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "covariates", covariates)
         object.__setattr__(self, "responses", responses)
-
-    @classmethod
-    def from_arrays(cls, T: float, covariates, responses) -> "ObservationPath":
-        responses = np.asarray(responses, dtype=float)
-        n = responses.shape[0] - 1
-        times = np.arange(n + 1) * (T / n)
-        return cls(n=n, T=T, times=times, covariates=covariates, responses=responses)
 
     @property
     def h(self) -> float:
@@ -183,53 +176,44 @@ def _eval_d1(path, model, theta, config, want_grad):
 
 
 def _eval_general(path, model, theta, config, want_grad):
-    """Generic d >= 1 matrix path; reference implementation for the d=1 fast path."""
+    """Batched d >= 1 matrix path; reference implementation for the d=1 fast path.
+
+    Per increment, with S = L L', z = L^{-1} eps and A_k = L^{-1} d_k S L^{-T}:
+    eps' S^{-1} eps = |z|^2, t_k = tr(S^{-1} d_k S) = tr A_k and
+    eps' S^{-1} d_k S S^{-1} eps = z' A_k z.
+    """
     theta = np.asarray(theta, dtype=float)
     x_block = covariate_block(path, model)
     eps = scaled_increments(path)
     n, d, p = path.n, model.d, model.p
-    s_all = model.s_values(x_block, theta).reshape(n, d, d)
-    ds_all = model.ds_values(x_block, theta).reshape(n, p, d, d) if want_grad else None
+    lower = chol_spd(model.s_values(x_block, theta).reshape(n, d, d))
+    log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+    z = np.linalg.solve(lower, eps[:, :, None])[:, :, 0]
+    quad = np.einsum("ja,ja->j", z, z)
+    if want_grad:
+        a = whitened_derivatives(lower, model.ds_values(x_block, theta).reshape(n, p, d, d))
+        t = np.trace(a, axis1=2, axis2=3)
+        q = np.einsum("ja,jkab,jb->jk", z, a, z)
 
+    grads = None
     lam = config.lam
-    if config.variant is not Variant.GQLF:
-        kconst = k_const(lam, d)
-
-    values = np.empty(n)
-    grads = np.empty((n, p)) if want_grad else None
-    for j in range(n):
-        lower = chol_spd(s_all[j], index=j + 1)
-        log_det = 2.0 * float(np.log(np.diagonal(lower)).sum())
-        sinv_eps = np.linalg.solve(
-            lower.T, np.linalg.solve(lower, eps[j])
-        )
-        quad = float(eps[j] @ sinv_eps)
-
+    if config.variant is Variant.GQLF:
+        values = -0.5 * (log_det + quad)
         if want_grad:
-            t_vec = np.array(
-                [
-                    np.trace(np.linalg.solve(lower.T, np.linalg.solve(lower, ds_all[j, k])))
-                    for k in range(p)
-                ]
-            )
-            q_vec = np.array([sinv_eps @ ds_all[j, k] @ sinv_eps for k in range(p)])
-
-        if config.variant is Variant.GQLF:
-            values[j] = -0.5 * (log_det + quad)
+            grads = -0.5 * (t - q)
+    else:
+        w = np.exp(-0.5 * lam * (d * LOG_2PI + quad))
+        if config.variant is Variant.DENSITY_POWER:
+            kconst = k_const(lam, d)
+            taper = np.exp(-0.5 * lam * log_det)
+            values = taper * (w / lam - kconst)
             if want_grad:
-                grads[j] = -0.5 * (t_vec - q_vec)
+                grads = 0.5 * taper[:, None] * (w[:, None] * (q - t) + lam * kconst * t)
         else:
-            w = np.exp(-0.5 * lam * (d * LOG_2PI + quad))
-            if config.variant is Variant.DENSITY_POWER:
-                taper = np.exp(-0.5 * lam * log_det)
-                values[j] = taper * (w / lam - kconst)
-                if want_grad:
-                    grads[j] = 0.5 * taper * (w * (q_vec - t_vec) + lam * kconst * t_vec)
-            else:
-                taper = np.exp(-0.5 * lam / (lam + 1.0) * log_det)
-                values[j] = taper * w / lam
-                if want_grad:
-                    grads[j] = 0.5 * taper * w * (q_vec - t_vec / (lam + 1.0))
+            taper = np.exp(-0.5 * lam / (lam + 1.0) * log_det)
+            values = taper * w / lam
+            if want_grad:
+                grads = 0.5 * (taper * w)[:, None] * (q - t / (lam + 1.0))
     total = float(np.sum(values))
     grad = np.sum(grads, axis=0) if want_grad else None
     return total, grad
@@ -263,29 +247,11 @@ def objective(path: ObservationPath, model: ModelSpec, theta, config: RobustConf
 
 def value_and_grad(path, model, theta, config) -> tuple[float, np.ndarray]:
     """Objective and its analytic gradient in one pass (shared S/dS evaluation)."""
-    if model.dS is None and model.ds_path is None:
-        value = _evaluate(path, model, theta, config)[0]
-        return value, _fd_gradient(path, model, theta, config)
     return _evaluate(path, model, theta, config, want_grad=True)
 
 
-def _fd_gradient(path, model, theta, config) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for k in range(theta.shape[0]):
-        step = 1e-6 * (1.0 + abs(theta[k]))
-        up, down = theta.copy(), theta.copy()
-        up[k] += step
-        down[k] -= step
-        grad[k] = (
-            _evaluate(path, model, up, config)[0]
-            - _evaluate(path, model, down, config)[0]
-        ) / (2.0 * step)
-    return grad
-
-
 def grad_objective(path, model, theta, config) -> np.ndarray:
-    """Gradient of the objective; analytic from dS when available, else central FD."""
+    """Analytic gradient of the objective from the model's dS."""
     return value_and_grad(path, model, theta, config)[1]
 
 

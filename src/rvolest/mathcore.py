@@ -1,4 +1,4 @@
-"""Closed-form Gaussian constants, density-power moments, and small SPD utilities.
+"""Closed-form Gaussian constants, density-power moments, and the batched SPD kernel.
 
 Everything here is a pure function of its arguments.  The moment identities
 are the workhorses behind the robust objectives and their asymptotic
@@ -15,9 +15,6 @@ oracles live in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .exceptions import CholeskyFailure
@@ -30,113 +27,58 @@ _PIVOT_RTOL = 1e-12
 
 
 def chol_spd(a: np.ndarray, index: int | None = None) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+    """Lower Cholesky factor of an SPD matrix, or of each matrix in an (n, d, d) stack.
 
-    Raises CholeskyFailure when the factorization breaks down or the smallest
-    pivot is below the relative tolerance (near-singular S for extreme theta).
+    Raises CholeskyFailure when a matrix has non-finite entries, the
+    factorization breaks down, or its smallest pivot is below the relative
+    tolerance (near-singular S for extreme theta).  On a stack the failure's
+    ``index`` is the 1-based position of the first failing matrix; a single
+    matrix reports the caller's ``index``.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise CholeskyFailure("matrix has non-finite entries", index=index)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    stack = a.reshape(-1, a.shape[-1], a.shape[-1])
+    # m ends the prefix that passes every check; the first failure of any kind wins
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    m = len(stack) if finite.all() else int(np.argmin(finite))
+    message = "matrix has non-finite entries"
     try:
-        lower = np.linalg.cholesky(a)
+        lower = np.linalg.cholesky(stack[:m])
     except np.linalg.LinAlgError:
-        raise CholeskyFailure(index=index) from None
-    pivots = np.diagonal(lower) ** 2
-    if pivots.min() <= _PIVOT_RTOL * max(a.diagonal().max(), 0.0):
-        raise CholeskyFailure("matrix numerically singular", index=index)
-    return lower
+        m, message = _first_unfactorable(stack[:m]), "matrix not SPD"
+        lower = np.linalg.cholesky(stack[:m])
+    pivots = np.diagonal(lower, axis1=1, axis2=2) ** 2
+    scale = np.diagonal(stack[:m], axis1=1, axis2=2).max(axis=1, initial=0.0)
+    singular = pivots.min(axis=1) <= _PIVOT_RTOL * scale
+    if singular.any():
+        m, message = int(np.argmax(singular)), "matrix numerically singular"
+    if m < len(stack):
+        raise CholeskyFailure(message, index=m + 1 if a.ndim == 3 else index)
+    return lower.reshape(a.shape)
 
 
-def spd_logdet(a: np.ndarray) -> float:
-    """log det of an SPD matrix via Cholesky."""
-    lower = chol_spd(a)
-    return float(2.0 * np.log(np.diagonal(lower)).sum())
+def _first_unfactorable(stack: np.ndarray) -> int:
+    """0-based position of the first matrix np.linalg.cholesky rejects, by bisection."""
+    good, bad = 0, len(stack)  # stack[:good] factors, stack[good:bad] holds a failure
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(stack[good:mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return good
 
 
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for SPD a."""
-    lower = chol_spd(a)
-    y = np.linalg.solve(lower, b)
-    return np.linalg.solve(lower.T, y)
+def whitened_derivatives(lower: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """A_k = L^{-1} dS_k L^{-T} for factors (n, d, d) and symmetric derivatives (n, p, d, d).
 
-
-@dataclass(frozen=True)
-class SpdMatrix:
-    """A validated symmetric positive definite matrix.
-
-    Symmetry is enforced to 1e-12 relative on construction and the Cholesky
-    factorization must succeed; the factor is cached for reuse.
+    tr A_k = tr(S^{-1} d_k S) and tr(A_k A_l) = tr(S^{-1} d_k S S^{-1} d_l S).
     """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.entries, dtype=float))
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"not square: shape {a.shape}")
-        scale = max(np.abs(a).max(), 1.0)
-        if np.abs(a - a.T).max() > 1e-12 * scale:
-            raise ValueError("matrix not symmetric to 1e-12 relative")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-        self.chol  # noqa: B018 -- validates positive definiteness eagerly
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @cached_property
-    def chol(self) -> np.ndarray:
-        return chol_spd(self.entries)
-
-    @cached_property
-    def logdet(self) -> float:
-        return float(2.0 * np.log(np.diagonal(self.chol)).sum())
-
-    @property
-    def det(self) -> float:
-        return float(np.exp(self.logdet))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        y = np.linalg.solve(self.chol, b)
-        return np.linalg.solve(self.chol.T, y)
-
-    def inv(self) -> np.ndarray:
-        return self.solve(np.eye(self.dim))
-
-    def whiten(self, x: np.ndarray) -> np.ndarray:
-        """L^{-1} x, so that |whiten(x)|^2 = x' S^{-1} x."""
-        return np.linalg.solve(self.chol, x)
-
-
-@dataclass(frozen=True)
-class GaussKernel:
-    """A d-dimensional Gaussian density N(mean, cov)."""
-
-    mean: np.ndarray
-    cov: SpdMatrix
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        if mean.shape != (self.cov.dim,):
-            raise ValueError("mean/cov dimension mismatch")
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-
-    @property
-    def dim(self) -> int:
-        return self.cov.dim
-
-    def log_density(self, x: np.ndarray) -> float:
-        z = self.cov.whiten(np.asarray(x, dtype=float) - self.mean)
-        return float(-0.5 * (self.dim * LOG_2PI + self.cov.logdet + z @ z))
-
-    def density(self, x: np.ndarray) -> float:
-        return float(np.exp(self.log_density(x)))
+    lower = lower[:, None]
+    half = np.linalg.solve(lower, ds)  # L^{-1} dS_k
+    return np.linalg.solve(lower, np.swapaxes(half, -1, -2))
 
 
 def _as_symmetric(a) -> np.ndarray:
@@ -165,21 +107,18 @@ def k_const(lam: float, d: int) -> float:
 def phi_power_integral(a: float, cov) -> float:
     """integral of phi(z; 0, cov)^a over R^d, equal to a^(-d/2) det(2 pi cov)^((1-a)/2).
 
-    ``cov`` may be an SpdMatrix, a raw SPD array, or a positive scalar (d=1).
+    ``cov`` may be a raw SPD array or a positive scalar (d=1).
     """
     if a <= 0:
         raise ValueError(f"power a must be > 0, got {a}")
-    if isinstance(cov, SpdMatrix):
-        d, logdet = cov.dim, cov.logdet
+    arr = np.asarray(cov, dtype=float)
+    if arr.ndim == 0:
+        # d=1 fast path: scalar variance
+        if not arr > 0:
+            raise CholeskyFailure("scalar variance not positive")
+        d, logdet = 1, float(np.log(arr))
     else:
-        arr = np.asarray(cov, dtype=float)
-        if arr.ndim == 0:
-            # d=1 fast path: scalar variance
-            if not arr > 0:
-                raise CholeskyFailure("scalar variance not positive")
-            d, logdet = 1, float(np.log(arr))
-        else:
-            d, logdet = arr.shape[0], spd_logdet(arr)
+        d, logdet = arr.shape[0], 2.0 * float(np.log(np.diagonal(chol_spd(arr))).sum())
     log_val = -0.5 * d * np.log(a) + 0.5 * (1.0 - a) * (d * LOG_2PI + logdet)
     return float(np.exp(log_val))
 

@@ -1,9 +1,9 @@
 """Parametric diffusion-coefficient families S(x, theta) and the parameter box.
 
 A model supplies the squared diffusion coefficient S = sigma sigma' together
-with its analytic theta-derivatives.  The estimator only ever needs S, dS and
-the covariate convention; second derivatives (ddS) are optional and used for
-diagnostics.
+with its analytic theta-derivatives dS, the covariate convention and a
+parameter box; optional vectorized maps evaluate S and dS along a whole
+covariate block.
 
 Builtin families (names as they appear in scenario configs):
 
@@ -81,10 +81,11 @@ class ModelSpec:
     """A parametric family S(x, theta) with analytic derivatives.
 
     S maps (x, theta) to a d x d SPD matrix (a positive scalar for d = 1);
-    dS returns the p matrices d S / d theta_k stacked on the first axis, and
-    ddS (optional) the p x p second-derivative family.  s_path / ds_path are
-    vectorized evaluators over a whole (n, cov_dim) block of covariates; when
-    absent they are synthesized from the pointwise maps.
+    dS returns the p matrices d S / d theta_k stacked on the first axis (p
+    scalars for d = 1).  Both are required.  s_path / ds_path are optional
+    vectorized evaluators over a whole (n, cov_dim) block of covariates,
+    returning the shapes of s_values / ds_values; when absent they are
+    synthesized from the pointwise maps.
     """
 
     name: str
@@ -95,7 +96,6 @@ class ModelSpec:
     dS: Callable[[np.ndarray, np.ndarray], np.ndarray]
     box: ParameterBox
     covariate_source: CovariateSource = CovariateSource.EXTERNAL
-    ddS: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     s_path: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     ds_path: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
@@ -129,10 +129,6 @@ def _exp_linear_3(box: ParameterBox | None) -> ModelSpec:
         s = np.exp(np.dot(x, theta))
         return np.asarray(x, dtype=float) * s
 
-    def ddS(x, theta):
-        x = np.asarray(x, dtype=float)
-        return np.outer(x, x) * np.exp(np.dot(x, theta))
-
     def s_path(xb, theta):
         return np.exp(xb @ theta)
 
@@ -140,7 +136,7 @@ def _exp_linear_3(box: ParameterBox | None) -> ModelSpec:
         return xb * np.exp(xb @ theta)[:, None]
 
     return ModelSpec(
-        name="exp-linear-3", d=1, p=3, cov_dim=3, S=S, dS=dS, ddS=ddS,
+        name="exp-linear-3", d=1, p=3, cov_dim=3, S=S, dS=dS,
         box=box, covariate_source=CovariateSource.EXTERNAL,
         s_path=s_path, ds_path=ds_path,
     )
@@ -150,7 +146,7 @@ def _rational_diffusion(box: ParameterBox | None) -> ModelSpec:
     if box is None:
         box = ParameterBox(lower=[0.0, 0.0], upper=[10.0, 10.0], initial=[5.0, 5.0])
 
-    # sigma is linear in theta, so d sigma is theta-free and dd sigma = 0.
+    # sigma is linear in theta, so d sigma / d theta is theta-free.
     def _sig_parts(y):
         y2 = np.square(y)
         den = 1.0 + y2
@@ -167,12 +163,6 @@ def _rational_diffusion(box: ParameterBox | None) -> ModelSpec:
         sig = theta[0] * g1 + theta[1] * g2
         return np.array([2.0 * sig * g1, 2.0 * sig * g2])
 
-    def ddS(x, theta):
-        y = float(np.atleast_1d(x)[0])
-        g1, g2 = _sig_parts(y)
-        grad = np.array([g1, g2])
-        return 2.0 * np.outer(grad, grad)
-
     def s_path(xb, theta):
         y = np.asarray(xb, dtype=float).reshape(len(xb))
         g1, g2 = _sig_parts(y)
@@ -185,7 +175,7 @@ def _rational_diffusion(box: ParameterBox | None) -> ModelSpec:
         return np.stack([2.0 * sig * g1, 2.0 * sig * g2], axis=1)
 
     return ModelSpec(
-        name="rational-diffusion", d=1, p=2, cov_dim=1, S=S, dS=dS, ddS=ddS,
+        name="rational-diffusion", d=1, p=2, cov_dim=1, S=S, dS=dS,
         box=box, covariate_source=CovariateSource.SELF_RESPONSE,
         s_path=s_path, ds_path=ds_path,
     )
@@ -201,9 +191,6 @@ def _const_levy(box: ParameterBox | None) -> ModelSpec:
     def dS(x, theta):
         return np.array([np.exp(theta[0])])
 
-    def ddS(x, theta):
-        return np.array([[np.exp(theta[0])]])
-
     def s_path(xb, theta):
         return np.full(len(xb), np.exp(theta[0]))
 
@@ -211,7 +198,7 @@ def _const_levy(box: ParameterBox | None) -> ModelSpec:
         return np.full((len(xb), 1), np.exp(theta[0]))
 
     return ModelSpec(
-        name="const-levy", d=1, p=1, cov_dim=1, S=S, dS=dS, ddS=ddS,
+        name="const-levy", d=1, p=1, cov_dim=1, S=S, dS=dS,
         box=box, covariate_source=CovariateSource.EXTERNAL,
         s_path=s_path, ds_path=ds_path,
     )

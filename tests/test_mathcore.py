@@ -10,8 +10,6 @@ from oracles import (
 
 from rvolest import (
     CholeskyFailure,
-    GaussKernel,
-    SpdMatrix,
     eps_dprime,
     eps_prime,
     gauss_biquadratic_moment,
@@ -208,22 +206,6 @@ class TestPhiPowerConsistency:
 
 
 class TestSpdMatrix:
-    def test_basic(self, rng):
-        a = random_spd(rng, 3)
-        m = SpdMatrix(a)
-        assert m.dim == 3
-        assert m.logdet == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12)
-        x = rng.normal(size=3)
-        assert m.solve(x) == pytest.approx(np.linalg.solve(a, x), rel=1e-10)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            SpdMatrix(np.array([[1.0, 0.5], [0.1, 1.0]]))
-
-    def test_not_pd_rejected(self):
-        with pytest.raises(CholeskyFailure):
-            SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
     def test_pivot_tolerance(self):
         # smallest pivot must exceed 1e-12 * largest diagonal
         with pytest.raises(CholeskyFailure):
@@ -235,30 +217,31 @@ class TestSpdMatrix:
             chol_spd(np.diag([1.0, -1.0]), index=17)
         assert err.value.index == 17
 
+    def test_stack_matches_numpy(self, rng):
+        stack = np.stack([random_spd(rng, 3) for _ in range(20)])
+        np.testing.assert_array_equal(chol_spd(stack), np.linalg.cholesky(stack))
 
-class TestGaussKernel:
-    def test_density_integrates_to_one_d1(self):
-        from oracles import quad_1d
+    @pytest.mark.parametrize(
+        "bad",
+        [np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, 1e-14]), np.full((3, 3), np.nan)],
+        ids=["indefinite", "singular", "non-finite"],
+    )
+    def test_stack_failure_index_is_position(self, bad, rng):
+        for k in (1, 2, 7, 13, 20):
+            stack = np.stack([random_spd(rng, 3) for _ in range(20)])
+            stack[k - 1] = bad
+            with pytest.raises(CholeskyFailure) as err:
+                chol_spd(stack)
+            assert err.value.index == k
 
-        kern = GaussKernel(mean=[0.3], cov=SpdMatrix([[0.8]]))
-        val = quad_1d(lambda z: kern.density(np.array([z])))
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_density_integrates_to_one_d2(self):
-        from oracles import quad_2d
-
-        cov = SpdMatrix(np.array([[1.3, 0.4], [0.4, 0.9]]))
-        kern = GaussKernel(mean=[0.0, -0.2], cov=cov)
-
-        def f(z1, z2):
-            out = np.empty_like(z1)
-            for i in range(z1.shape[0]):
-                for j in range(z1.shape[1]):
-                    out[i, j] = kern.density(np.array([z1[i, j], z2[i, j]]))
-            return out
-
-        assert quad_2d(f) == pytest.approx(1.0, abs=1e-8)
-
-    def test_standard_density_value(self):
-        kern = GaussKernel(mean=[0.0], cov=SpdMatrix([[1.0]]))
-        assert kern.density(np.zeros(1)) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-12)
+    def test_stack_reports_first_failure_of_any_kind(self, rng):
+        stack = np.stack([random_spd(rng, 2) for _ in range(10)])
+        stack[8, 0, 0] = np.inf
+        stack[6] = -np.eye(2)
+        stack[4] = np.diag([1.0, 1e-14])
+        for k in (5, 7, 9):
+            with pytest.raises(CholeskyFailure) as err:
+                chol_spd(stack)
+            assert err.value.index == k
+            stack[k - 1] = np.eye(2)
+        chol_spd(stack)

@@ -70,23 +70,6 @@ class TestBuiltins:
         assert worst < 1e-5
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_dds_matches_fd_of_ds(self, name, rng):
-        m = make_builtin(name)
-        worst = 0.0
-        for _ in range(50):
-            x, theta = random_args(rng, m)
-            analytic = np.asarray(m.ddS(x, theta), dtype=float).reshape(m.p, m.p)
-            for k in range(m.p):
-                numeric = fd_grad(
-                    lambda th: float(np.asarray(m.dS(x, th)).reshape(m.p)[k]),
-                    theta,
-                    step=1e-5,
-                )
-                scale = max(1.0, np.abs(analytic[k]).max())
-                worst = max(worst, np.abs(analytic[k] - numeric).max() / scale)
-        assert worst < 1e-4
-
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_batch_matches_pointwise(self, name, rng):
         m = make_builtin(name)
         xs = np.array([random_args(rng, m)[0] for _ in range(30)])

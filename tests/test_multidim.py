@@ -1,10 +1,13 @@
-"""End-to-end checks of the d = 2 matrix path (likelihood, estimation,
-plug-in matrices, residuals) on a correlated bivariate family."""
+"""End-to-end checks of the d >= 2 matrix path (likelihood, estimation,
+plug-in matrices, residuals) on a correlated bivariate family, and of the
+batched kernel against a per-increment reference at d = 2 and d = 3."""
 
 import numpy as np
 import pytest
+from oracles import increment_reference, objective_reference
 
 from rvolest import (
+    CholeskyFailure,
     ModelSpec,
     ObservationPath,
     ParameterBox,
@@ -18,7 +21,10 @@ from rvolest import (
     plugin_matrices,
     residuals,
 )
+from rvolest.estimator import _trace_stats
 from rvolest.model import CovariateSource
+
+CONFIGS = [RobustConfig.gqlf(), RobustConfig.density_power(0.6), RobustConfig.hoelder(0.4)]
 
 THETA0 = np.array([0.3, -0.4])
 
@@ -59,11 +65,7 @@ def make_path(rng, n=800, theta=THETA0):
     return path, model
 
 
-@pytest.mark.parametrize(
-    "config",
-    [RobustConfig.gqlf(), RobustConfig.density_power(0.6), RobustConfig.hoelder(0.4)],
-    ids=["gqlf", "dp", "holder"],
-)
+@pytest.mark.parametrize("config", CONFIGS, ids=["gqlf", "dp", "holder"])
 def test_gradient_matches_fd(config, rng):
     path, model = make_path(rng, n=120)
     for _ in range(5):
@@ -130,3 +132,84 @@ def test_dp_influence_bounded_d2(rng):
     assert abs(dp_gqlf(bad, model, THETA0, lam) - base) <= width + 1e-12
     # sanity: the bound uses the K constant consistently
     assert k_const(lam, 2) > 0
+
+
+def coupled_model(d):
+    """S = L L' with L lower triangular, diagonal e^{theta/2} and off-diagonal
+    entries x/2, so S varies across increments with the covariate; p = d."""
+
+    def chol(x, theta):
+        return 0.5 * x[0] * np.tril(np.ones((d, d)), -1) + np.diag(np.exp(0.5 * theta))
+
+    def S(x, theta):
+        lower = chol(x, theta)
+        return lower @ lower.T
+
+    def dS(x, theta):
+        lower = chol(x, theta)
+        out = np.empty((d, d, d))
+        for k in range(d):
+            dl = np.zeros((d, d))
+            dl[k, k] = 0.5 * np.exp(0.5 * theta[k])
+            out[k] = dl @ lower.T + lower @ dl.T
+        return out
+
+    return ModelSpec(
+        name=f"coupled-{d}d", d=d, p=d, cov_dim=1, S=S, dS=dS,
+        box=ParameterBox([-4.0] * d, [4.0] * d, [0.0] * d),
+    )
+
+
+def random_path(rng, n, d, covariates):
+    h = 1.0 / n
+    responses = np.vstack([np.zeros(d), np.cumsum(rng.normal(0.0, np.sqrt(h), (n, d)), axis=0)])
+    return ObservationPath(
+        n=n, T=1.0, times=np.arange(n + 1) * h, covariates=covariates, responses=responses,
+    )
+
+
+def assert_close(got, want):
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_kernel_matches_per_increment_reference(d, rng):
+    n = 60
+    model = coupled_model(d)
+    path = random_path(rng, n, d, rng.uniform(-1.0, 1.0, (n + 1, 1)))
+    theta = rng.uniform(-1.0, 1.0, size=d)
+    log_det, quad, t, _, v = increment_reference(path, model, theta)
+    for config in CONFIGS:
+        value, grad = objective_reference(path, model, theta, config)
+        assert_close(objective(path, model, theta, config), value)
+        assert_close(grad_objective(path, model, theta, config), grad)
+    got_log_det, got_t, got_v = _trace_stats(path, model, theta)
+    assert_close(got_log_det, log_det)
+    assert_close(got_t, t)
+    assert_close(got_v, v)
+    assert_close(residuals(path, model, theta), np.sqrt(quad))
+
+
+def test_indefinite_increment_reported_by_every_consumer(rng):
+    # S = e^theta [[1, x], [x, 1]] is indefinite only where |x| > 1
+    n, k = 50, 37
+    unit, swap = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = ModelSpec(
+        name="coupled-unit", d=2, p=1, cov_dim=1,
+        S=lambda x, theta: np.exp(theta[0]) * (unit + x[0] * swap),
+        dS=lambda x, theta: np.exp(theta[0]) * (unit + x[0] * swap)[None],
+        box=ParameterBox([-1.0], [1.0], [0.0]),
+    )
+    covariates = np.full((n + 1, 1), 0.5)
+    covariates[k - 1] = 2.0  # x_{k-1} feeds increment k
+    path = random_path(rng, n, 2, covariates)
+    theta = np.array([0.2])
+    for config in CONFIGS:
+        for call in (objective, grad_objective, plugin_matrices):
+            with pytest.raises(CholeskyFailure) as err:
+                call(path, model, theta, config)
+            assert err.value.index == k
+    with pytest.raises(CholeskyFailure) as err:
+        residuals(path, model, theta)
+    assert err.value.index == k
