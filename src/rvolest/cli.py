@@ -265,7 +265,6 @@ def cmd_estimate(args) -> int:
         initial=np.asarray(_parse_float_list(args.init, "--init")) if args.init else None,
         tol=args.tol,
         max_iters=args.max_iters,
-        fallback=not args.no_fallback,
     )
     theta0 = (
         np.asarray(_parse_float_list(args.true_theta, "--true-theta"))
@@ -412,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--true-theta", help="comma list: adds standardized statistics")
     p_est.add_argument("--max-iters", type=int, default=500)
     p_est.add_argument("--tol", type=float, default=1e-8)
-    p_est.add_argument("--no-fallback", action="store_true",
-                       help="disable the Nelder-Mead fallback")
     p_est.set_defaults(handler=cmd_estimate)
 
     p_mc = sub.add_parser("montecarlo", parents=[common],
@@ -455,7 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:  # the library rejects bad arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RvolestError as exc:

@@ -1,9 +1,14 @@
 """Box-constrained maximization of a quasi-likelihood and plug-in inference.
 
-The maximizer is projected quasi-Newton (L-BFGS-B) driven by the analytic
-gradient, with a projected Nelder-Mead fallback when factorization failures
-occur near the parameter-box boundary.  Plug-in asymptotic matrices replace
-(1/T) integral g(X_t, theta_0) dt by (1/n) sum_j g(x_{j-1}, theta_hat):
+The maximizer is projected quasi-Newton (L-BFGS-B) over the model's parameter
+box, driven by the analytic gradient; it is the only optimizer.  The box must
+keep S(x, theta) SPD: a trial point where factorization fails raises
+CholeskyFailure with the offending increment index, so a failed evaluation
+never turns into a reported success.  The value and gradient at theta_hat are
+the optimizer's own final evaluation.
+
+Plug-in asymptotic matrices replace (1/T) integral g(X_t, theta_0) dt by
+(1/n) sum_j g(x_{j-1}, theta_hat):
 
   fisher   I_kl      = avg  v_kl / 2
   dp       Gamma_kl  = K_lam/(lam+1)   * avg dd^{-lam/2} (v_kl + lam^2/2 t_k t_l) / 2
@@ -28,7 +33,7 @@ import numpy as np
 import scipy.optimize
 from scipy.stats import norm
 
-from .exceptions import CholeskyFailure, SingularGamma
+from .exceptions import SingularGamma
 from .likelihood import (
     ObservationPath,
     RobustConfig,
@@ -48,7 +53,6 @@ class OptimizerOptions:
     initial: Optional[np.ndarray] = None
     tol: float = 1e-8
     max_iters: int = 500
-    fallback: bool = True
 
 
 @dataclass
@@ -66,10 +70,10 @@ class EstimationResult:
     iterations: int
     projected_grad_norm: float
     boundary_active: np.ndarray    # bool per coordinate
-    used_fallback: bool
     negative_variance: list[int] = field(default_factory=list)
     u_stat: np.ndarray | None = None   # sqrt(n)(theta_hat - theta0)/sqrt(avar_ii)
     taper_diagnostic: float | None = None
+    used_fallback: bool = False    # always False; kept for estimate.json readers
 
 
 def check_taper_schedule(n: int, lam: float, kappa: float = 1.0, T: float = 1.0) -> float:
@@ -204,67 +208,36 @@ def estimate(
     opts: OptimizerOptions | None = None,
     alpha: float = 0.05,
     theta0: Optional[np.ndarray] = None,
-    kappa: float = 1.0,
 ) -> EstimationResult:
     """Maximize the configured objective over the model's parameter box.
 
     Deterministic: identical inputs give an identical result.  theta0 (the
     true value, simulation mode) only adds the standardized statistic.
+    Raises CholeskyFailure when S is not SPD at a trial point.
     """
     opts = opts or OptimizerOptions()
     box = model.box
     start = box.clamp(opts.initial if opts.initial is not None else box.initial)
+    if theta0 is not None and np.shape(theta0) != (box.p,):
+        raise ValueError(f"theta0 must have {box.p} entries, got shape {np.shape(theta0)}")
 
     def neg_val_grad(theta):
         val, grad = value_and_grad(path, model, theta, config)
         return -val, -grad
 
-    used_fallback = False
-    iterations = 0
-    try:
-        res = scipy.optimize.minimize(
-            neg_val_grad,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(box.lower, box.upper)),
-            options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14},
-        )
-        theta_hat = box.clamp(res.x)
-        iterations = int(res.nit)
-        opt_success = bool(res.success)
-    except CholeskyFailure:
-        if not opts.fallback:
-            raise
-        used_fallback = True
-
-        def nm_fun(theta):
-            clipped = box.clamp(theta)
-            penalty = 1e6 * float(np.sum((theta - clipped) ** 2))
-            try:
-                val, _ = value_and_grad(path, model, clipped, config)
-            except CholeskyFailure:
-                return 1e100
-            return -val + penalty
-
-        res = scipy.optimize.minimize(
-            nm_fun,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": 20 * opts.max_iters,
-                "xatol": 1e-9,
-                "fatol": 1e-12,
-            },
-        )
-        theta_hat = box.clamp(res.x)
-        iterations = int(res.nit)
-        opt_success = bool(res.success)
-
-    value, grad = value_and_grad(path, model, theta_hat, config)
+    res = scipy.optimize.minimize(
+        neg_val_grad,
+        start,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=list(zip(box.lower, box.upper)),
+        options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14},
+    )
+    theta_hat = box.clamp(res.x)
+    value, grad = -float(res.fun), -res.jac
     pg = _projected_grad(theta_hat, grad, box.lower, box.upper)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    converged = opt_success or pg_norm <= opts.tol
+    converged = bool(res.success) or pg_norm <= opts.tol
     boundary = (theta_hat <= box.lower + 1e-10) | (theta_hat >= box.upper - 1e-10)
 
     gamma, sigma, fisher = plugin_matrices(path, model, theta_hat, config)
@@ -277,11 +250,11 @@ def estimate(
 
     taper = None
     if config.variant is not Variant.GQLF:
-        taper = check_taper_schedule(path.n, config.lam, kappa=kappa, T=path.T)
+        taper = check_taper_schedule(path.n, config.lam, T=path.T)
 
     return EstimationResult(
         theta_hat=theta_hat,
-        objective_value=float(value),
+        objective_value=value,
         config=config,
         gamma_hat=gamma,
         sigma_hat=sigma,
@@ -289,11 +262,10 @@ def estimate(
         avar=avar,
         ci=ci,
         alpha=alpha,
-        converged=bool(converged),
-        iterations=iterations,
+        converged=converged,
+        iterations=int(res.nit),
         projected_grad_norm=pg_norm,
         boundary_active=boundary,
-        used_fallback=used_fallback,
         negative_variance=negative,
         u_stat=u_stat,
         taper_diagnostic=taper,

@@ -3,14 +3,19 @@
 A model supplies the squared diffusion coefficient S = sigma sigma' together
 with its analytic theta-derivatives dS, the covariate convention and a
 parameter box; optional vectorized maps evaluate S and dS along a whole
-covariate block.
+covariate block.  S must be SPD at every point of the box: the estimator
+stops with CholeskyFailure at a trial point where it is not.
 
 Builtin families (names as they appear in scenario configs):
 
   "exp-linear-3"       S(x, theta) = exp(theta_1 x_1 + theta_2 x_2 + theta_3 x_3),
                        external deterministic covariate, d = 1, p = 3.
   "rational-diffusion" sigma(y, theta) = (theta_1 + theta_2 y^2) / (1 + y^2),
-                       S = sigma^2, covariate = lagged response, d = 1, p = 2.
+                       S = sigma^2, covariate = lagged response, d = 1, p = 2,
+                       box [0.01, 10]^2.  sigma is a convex combination of
+                       theta_1 and theta_2, so S >= 1e-4 for every y: the
+                       box keeps S uniformly positive, as the M-estimator
+                       theory assumes (a lower bound of 0 would allow S = 0).
   "const-levy"         S(theta) = exp(theta_1), constant in x, d = 1, p = 1.
 """
 
@@ -144,7 +149,7 @@ def _exp_linear_3(box: ParameterBox | None) -> ModelSpec:
 
 def _rational_diffusion(box: ParameterBox | None) -> ModelSpec:
     if box is None:
-        box = ParameterBox(lower=[0.0, 0.0], upper=[10.0, 10.0], initial=[5.0, 5.0])
+        box = ParameterBox(lower=[0.01, 0.01], upper=[10.0, 10.0], initial=[5.0, 5.0])
 
     # sigma is linear in theta, so d sigma / d theta is theta-free.
     def _sig_parts(y):

@@ -20,11 +20,10 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .estimator import OptimizerOptions, estimate
+from .estimator import estimate
 from .exceptions import RvolestError
 from .likelihood import RobustConfig, Variant
 from .model import make_builtin
@@ -38,8 +37,6 @@ class ExperimentPlan:
     replications: int
     alpha: float = 0.05
     threads: int = 1
-    optimizer: Optional[OptimizerOptions] = None
-    outputs: Optional[str] = None
 
     def __post_init__(self):
         if self.replications < 1:
@@ -97,7 +94,7 @@ class SummaryTable:
 
 
 def _run_replication(args) -> dict:
-    scenario, estimators, alpha, opts, rep = args
+    scenario, estimators, alpha, rep = args
     bundle = simulate(scenario, replication=rep)
     model = make_builtin(scenario.model.name)
     theta0 = scenario.model.theta0_array()
@@ -113,8 +110,7 @@ def _run_replication(args) -> dict:
     for e, config in enumerate(estimators):
         t0 = time.perf_counter()
         try:
-            res = estimate(bundle.observed, model, config, opts,
-                           alpha=alpha, theta0=theta0)
+            res = estimate(bundle.observed, model, config, alpha=alpha, theta0=theta0)
         except RvolestError:
             out["failed"][e] = True
             out["time"][e] = time.perf_counter() - t0
@@ -136,10 +132,7 @@ def run_plan(plan: ExperimentPlan) -> SummaryTable:
     """Execute the plan; deterministic for a given (scenario seed, plan)."""
     theta0 = plan.scenario.model.theta0_array()
     m, n_est, p = plan.replications, len(plan.estimators), theta0.shape[0]
-    jobs = [
-        (plan.scenario, plan.estimators, plan.alpha, plan.optimizer, rep)
-        for rep in range(m)
-    ]
+    jobs = [(plan.scenario, plan.estimators, plan.alpha, rep) for rep in range(m)]
     if plan.threads > 1:
         with ProcessPoolExecutor(max_workers=plan.threads) as pool:
             records = list(pool.map(_run_replication, jobs, chunksize=1))

@@ -219,3 +219,22 @@ class TestClusterCommand:
     def test_bad_k_range(self, tmp_path):
         assert run(["cluster", "--preset", "sec6-1-spike", "--n", "100",
                     "--k-range", "abc", "--out", tmp_path]) == 2
+
+
+SPIKE = ["--preset", "sec6-1-spike", "--n", "200", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", *SPIKE, "--lambda", "5"],
+    ["estimate", *SPIKE, "--lambda", "abc"],
+    ["estimate", *SPIKE, "--init", "1,2"],
+    ["estimate", *SPIKE, "--true-theta", "1,2"],
+    ["montecarlo", *SPIKE, "--reps", "2", "--lambda", "3"],
+    ["montecarlo", *SPIKE, "--reps", "0"],
+    ["cluster", *SPIKE, "--k", "1"],
+], ids=["lambda-range", "lambda-text", "init-length", "true-theta-length",
+        "mc-lambda-range", "mc-zero-reps", "cluster-k1"])
+def test_bad_argument_exits_2_with_one_line(argv, tmp_path, capsys):
+    assert run([*argv, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

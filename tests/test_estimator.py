@@ -16,13 +16,16 @@ from rvolest import (
     eps_dprime,
     eps_prime,
     estimate,
+    get_preset,
     gqlf,
     hess_objective,
     k_const,
     make_builtin,
     plugin_matrices,
     scaled_increments,
+    simulate,
 )
+from rvolest.likelihood import value_and_grad
 from rvolest.model import CovariateSource
 
 
@@ -71,6 +74,8 @@ class TestOptimizer:
         np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
         np.testing.assert_array_equal(a.gamma_hat, b.gamma_hat)
         assert a.objective_value == b.objective_value
+        # the reported value is the optimizer's own evaluation at theta_hat
+        assert a.objective_value == value_and_grad(path, model, a.theta_hat, config)[0]
 
     def test_theta_stays_in_box(self, rng):
         box = ParameterBox(lower=[-0.5] * 3, upper=[0.5] * 3, initial=[0.0] * 3)
@@ -86,9 +91,10 @@ class TestOptimizer:
         res = estimate(path, model, RobustConfig.gqlf(), opts)
         assert model.box.contains(res.theta_hat)
 
-    def test_nelder_mead_fallback_on_cholesky_failure(self):
-        # S(theta) = theta with an invalid region inside the box: the first
-        # quasi-Newton trial step lands there and triggers the fallback.
+    def test_failed_trial_point_raises_with_index(self):
+        # S(theta) = theta with a non-SPD region inside the box: a
+        # quasi-Newton trial step lands there.  The failure must surface with
+        # its increment index, never as a converged fit at the start point.
         def S(x, theta):
             return float(theta[0])
 
@@ -101,25 +107,30 @@ class TestOptimizer:
             covariate_source=CovariateSource.EXTERNAL,
         )
         path, _ = const_model_path(n=100, eps2=1.2)
-        res = estimate(path, model, RobustConfig.gqlf())
-        assert res.used_fallback
-        assert res.theta_hat[0] == pytest.approx(1.2, abs=1e-3)
+        with pytest.raises(CholeskyFailure) as info:
+            estimate(path, model, RobustConfig.gqlf())
+        assert info.value.index == 1
 
-    def test_fallback_disabled_raises(self):
-        def S(x, theta):
-            return float(theta[0])
+    def test_jumpdiff_dp_fit_has_no_failed_trial_point(self, monkeypatch):
+        # The rational-diffusion box keeps S >= 1e-4, so every point that
+        # L-BFGS-B tries, box corners included, can be evaluated.
+        path = simulate(get_preset("sec6-5-jumpdiff", seed=1)).observed
+        model = make_builtin("rational-diffusion")
+        failures = []
+        original = estimator_mod.value_and_grad
 
-        def dS(x, theta):
-            return np.array([1.0])
+        def counting(*args, **kwargs):
+            try:
+                return original(*args, **kwargs)
+            except CholeskyFailure as exc:
+                failures.append(exc.index)
+                raise
 
-        model = ModelSpec(
-            name="linear-variance", d=1, p=1, cov_dim=1, S=S, dS=dS,
-            box=ParameterBox(lower=[-10.0], upper=[3.0], initial=[2.0]),
-            covariate_source=CovariateSource.EXTERNAL,
-        )
-        path, _ = const_model_path(n=100, eps2=1.2)
-        with pytest.raises(CholeskyFailure):
-            estimate(path, model, RobustConfig.gqlf(), OptimizerOptions(fallback=False))
+        monkeypatch.setattr(estimator_mod, "value_and_grad", counting)
+        res = estimate(path, model, RobustConfig.density_power(0.1))
+        assert failures == []
+        assert res.converged
+        assert not res.boundary_active.any()
 
 
 class TestPluginMatrices:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,6 @@ from rvolest.model import CovariateSource
 def random_args(rng, model):
     x = rng.uniform(-1.5, 1.5, size=model.cov_dim)
     theta = rng.uniform(model.box.lower, model.box.upper)
-    # keep rational-diffusion away from the singular corner theta = 0
-    if model.name == "rational-diffusion":
-        theta = np.maximum(theta, 0.2)
     return x, theta
 
 
@@ -87,6 +86,21 @@ class TestBuiltins:
         for _ in range(200):
             x, theta = random_args(rng, m)
             assert m.S(x, theta) > 0.0
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_s_positive_at_every_box_corner(self, name):
+        # estimate stops with CholeskyFailure where S is not positive, so S
+        # must stay positive on the whole default box.  A lagged-response
+        # covariate is unbounded, so its grid reaches large |y|.
+        m = make_builtin(name)
+        grid = (0.0, 0.5, -1.0, 2.0, -10.0)
+        if m.covariate_source is CovariateSource.SELF_RESPONSE:
+            grid += (1e3, -1e6)
+        xs = np.array(list(itertools.product(grid, repeat=m.cov_dim)))
+        for corner in itertools.product(*zip(m.box.lower, m.box.upper)):
+            theta = np.array(corner)
+            assert np.all(m.s_values(xs, theta) > 0.0), corner
+            assert all(m.S(x, theta) > 0.0 for x in xs), corner
 
     def test_rational_sigma_between_thetas(self):
         m = make_builtin("rational-diffusion")

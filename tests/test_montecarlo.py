@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+import rvolest.montecarlo as montecarlo_mod
 from rvolest import (
+    CholeskyFailure,
     ExperimentPlan,
     RobustConfig,
     coverage_curve,
@@ -61,6 +63,16 @@ class TestRunPlan:
         # all converge on clean data at this size
         assert table.converged.all()
         assert np.isfinite(table.cover).all()
+
+    def test_cholesky_failure_counts_as_failed_fit(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise CholeskyFailure(index=3)
+
+        monkeypatch.setattr(montecarlo_mod, "estimate", failing)
+        table = run_plan(small_plan(replications=2))
+        assert table.failed.all()
+        assert np.isnan(table.raw_theta).all()
+        assert not table.converged.any()
 
     def test_replications_validated(self):
         with pytest.raises(ValueError):
