@@ -30,34 +30,24 @@ from .likelihood import (
     ObservationPath,
     RobustConfig,
     Variant,
-    dp_gqlf,
-    gqlf,
-    grad_objective,
-    hess_objective,
-    hoelder_gqlf,
-    objective,
     scaled_increments,
+    value_and_grad,
 )
 from .mathcore import (
     eps_dprime,
     eps_prime,
-    gauss_biquadratic_moment,
-    gauss_quadratic_moment,
     k_const,
-    phi_power_integral,
 )
 from .model import (
     BUILTIN_NAMES,
     CovariateSource,
     ModelSpec,
     ParameterBox,
-    clamp_to_box,
     make_builtin,
 )
 from .montecarlo import (
     ExperimentPlan,
     SummaryTable,
-    coverage_curve,
     run_plan,
 )
 from .simulator import (

@@ -120,15 +120,13 @@ def _make_configs(variants: str, lambdas: str) -> list[RobustConfig]:
 
 
 def _single_config(args) -> RobustConfig:
-    name = args.variant
-    if name == "gqlf":
-        return RobustConfig.gqlf()
-    lam = float(args.lam)
-    if name == "dp":
-        return RobustConfig.density_power(lam)
-    if name == "holder":
-        return RobustConfig.hoelder(lam)
-    raise InputError(f"unknown variant {name!r} (gqlf, dp, holder)")
+    configs = _make_configs(args.variant, args.lam)
+    if len(configs) != 1:
+        raise InputError(
+            f"--variant {args.variant!r} with --lambda {args.lam!r} gives "
+            f"{len(configs)} estimators; this command fits exactly one"
+        )
+    return configs[0]
 
 
 def write_path_csv(path: ObservationPath, filename: str) -> None:

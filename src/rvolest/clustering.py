@@ -67,9 +67,9 @@ class Partition:
         """1-based increment indices in the flagged part D."""
         return np.flatnonzero(self.in_d) + 1
 
-    @property
-    def c_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.in_d) + 1
+
+# K-means starts per call: the quantile start plus RESTARTS - 1 random ones.
+RESTARTS = 10
 
 
 def _lloyd(values: np.ndarray, centers: np.ndarray, max_iter: int = 300):
@@ -98,17 +98,17 @@ def _quantile_init(values, k) -> np.ndarray:
     return np.quantile(values, (2.0 * np.arange(k) + 1.0) / (2.0 * k))
 
 
-def kmeans(values, k: int, restarts: int = 10, seed: int = 0) -> Partition:
+def kmeans(values, k: int, seed: int = 0) -> Partition:
     """Best-of-restarts Lloyd K-means on nonnegative scalars.
 
-    Seeding is mass-oriented: one quantile-seeded start plus random-data-point
-    restarts.  On heavy-tailed residual data this reproduces the diagnostic
-    signature the K-scan relies on (|D| stays at outlier scale until K is
-    large enough that a cluster splits off the diffusive bulk, at which point
-    |D| explodes); extreme-seeking seedings such as farthest-point instead
-    keep subdividing the outlier range indefinitely and never show the break.
-    Deterministic for fixed (values, k, restarts, seed).  Raises
-    DegenerateInput when every value is identical.
+    Seeding is mass-oriented: one quantile-seeded start plus RESTARTS - 1
+    random-data-point restarts.  On heavy-tailed residual data this
+    reproduces the diagnostic signature the K-scan relies on (|D| stays at
+    outlier scale until K is large enough that a cluster splits off the
+    diffusive bulk, at which point |D| explodes); extreme-seeking seedings
+    such as farthest-point instead keep subdividing the outlier range
+    indefinitely and never show the break.  Deterministic for fixed
+    (values, k, seed).  Raises DegenerateInput when every value is identical.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     n = values.shape[0]
@@ -121,7 +121,7 @@ def kmeans(values, k: int, restarts: int = 10, seed: int = 0) -> Partition:
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     best = None
-    for restart in range(max(restarts, 1)):
+    for restart in range(RESTARTS):
         if restart == 0:
             centers = _quantile_init(values, k)
         else:
@@ -157,7 +157,6 @@ class KSweepResult:
 def suggest_k(
     values,
     k_range=range(2, 11),
-    restarts: int = 10,
     seed: int = 0,
     threshold: float = 8.0,
 ) -> KSweepResult:
@@ -175,7 +174,7 @@ def suggest_k(
         raise ValueError("k_range must contain integers >= 2")
     sizes = []
     for k in ks:
-        part = kmeans(values, k, restarts=restarts, seed=seed)
+        part = kmeans(values, k, seed=seed)
         sizes.append(int(part.in_d.sum()))
     for i in range(1, len(ks)):
         if sizes[i] >= threshold * max(sizes[i - 1], 1):

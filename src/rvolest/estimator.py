@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.optimize
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .exceptions import SingularGamma
 from .likelihood import (
@@ -171,15 +171,18 @@ def confidence_intervals(
     negative sandwich diagonal get NaN bounds and are listed in
     negative_variance rather than receiving a fabricated interval.  u_stat is
     the standardized statistic sqrt(n)(theta_hat - theta0)/sqrt(avar_ii),
-    available in simulation mode (theta0 supplied).
+    available in simulation mode (theta0 supplied).  Raises ValueError unless
+    0 < alpha < 1.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     theta_hat = np.asarray(theta_hat, dtype=float)
     avar = sandwich_avar(gamma, sigma)
     diag = np.diagonal(avar)
     negative = [int(i) for i in np.flatnonzero(diag < 0.0)]
     half = np.full_like(theta_hat, np.nan)
     ok = diag >= 0.0
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     half[ok] = z * np.sqrt(diag[ok] / n)
     ci = np.column_stack([theta_hat - half, theta_hat + half])
     u_stat = None

@@ -14,8 +14,10 @@ dd^{-lam/2} (2 pi)^{-d lam/2} / lam, which is what defeats jumps and spikes.
 phi(.)^lam is evaluated in log space; underflow for huge increments clamps
 the weight to 0, which is the correct limit.
 
-All functions are pure; per-increment terms are reduced with np.sum (fixed
-pairwise topology), so results are bit-stable for a given input.
+`value_and_grad` is the one entry point: it returns the configured
+objective and its analytic theta-gradient together, from one evaluation of
+S and dS.  All functions are pure; per-increment terms are reduced with
+np.sum (fixed pairwise topology), so results are bit-stable for a given input.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .exceptions import CholeskyFailure
 from .mathcore import LOG_2PI, chol_spd, k_const, whitened_derivatives
 from .model import CovariateSource, ModelSpec
 
-DEFAULT_LAMBDA_BAR = 2.0
+# Upper end of the admissible tapering range (0, LAMBDA_BAR].
+LAMBDA_BAR = 2.0
 
 
 @dataclass(frozen=True)
@@ -94,26 +97,23 @@ class RobustConfig:
 
     variant: Variant
     lam: float = 0.0
-    lambda_bar: float = DEFAULT_LAMBDA_BAR
 
     def __post_init__(self):
         if self.variant is not Variant.GQLF:
-            if not (0.0 < self.lam <= self.lambda_bar):
-                raise ValueError(
-                    f"lambda must lie in (0, {self.lambda_bar}], got {self.lam}"
-                )
+            if not (0.0 < self.lam <= LAMBDA_BAR):
+                raise ValueError(f"lambda must lie in (0, {LAMBDA_BAR}], got {self.lam}")
 
     @classmethod
     def gqlf(cls) -> "RobustConfig":
         return cls(Variant.GQLF)
 
     @classmethod
-    def density_power(cls, lam: float, lambda_bar: float = DEFAULT_LAMBDA_BAR):
-        return cls(Variant.DENSITY_POWER, lam, lambda_bar)
+    def density_power(cls, lam: float) -> "RobustConfig":
+        return cls(Variant.DENSITY_POWER, lam)
 
     @classmethod
-    def hoelder(cls, lam: float, lambda_bar: float = DEFAULT_LAMBDA_BAR):
-        return cls(Variant.HOELDER, lam, lambda_bar)
+    def hoelder(cls, lam: float) -> "RobustConfig":
+        return cls(Variant.HOELDER, lam)
 
     @property
     def label(self) -> str:
@@ -137,8 +137,8 @@ def _check_positive(s: np.ndarray) -> None:
         raise CholeskyFailure(index=int(np.argmax(bad)) + 1)
 
 
-def _eval_d1(path, model, theta, config, want_grad):
-    """Vectorized d = 1 evaluation; returns (value, grad-or-None)."""
+def _eval_d1(path, model, theta, config):
+    """Vectorized d = 1 evaluation; returns (value, grad)."""
     theta = np.asarray(theta, dtype=float)
     x_block = covariate_block(path, model)
     eps = scaled_increments(path)[:, 0]
@@ -146,14 +146,10 @@ def _eval_d1(path, model, theta, config, want_grad):
     _check_positive(s)
     q = eps * eps / s
     log_s = np.log(s)
+    t = model.ds_values(x_block, theta) / s[:, None]
 
-    grad = None
     if config.variant is Variant.GQLF:
-        value = -0.5 * float(np.sum(log_s + q))
-        if want_grad:
-            t = model.ds_values(x_block, theta) / s[:, None]
-            grad = -0.5 * ((1.0 - q) @ t)
-        return value, grad
+        return -0.5 * float(np.sum(log_s + q)), -0.5 * ((1.0 - q) @ t)
 
     lam = config.lam
     w = np.exp(-0.5 * lam * (LOG_2PI + q))  # phi(S^{-1/2} eps)^lam, d = 1
@@ -161,21 +157,15 @@ def _eval_d1(path, model, theta, config, want_grad):
         kconst = k_const(lam, 1)
         det_taper = np.exp(-0.5 * lam * log_s)
         value = float(np.sum(det_taper * (w / lam - kconst)))
-        if want_grad:
-            t = model.ds_values(x_block, theta) / s[:, None]
-            grad = 0.5 * ((det_taper * (w * (q - 1.0) + lam * kconst)) @ t)
-        return value, grad
+        return value, 0.5 * ((det_taper * (w * (q - 1.0) + lam * kconst)) @ t)
 
     # Hoelder-based
     det_taper = np.exp(-0.5 * lam / (lam + 1.0) * log_s)
     value = float(np.sum(det_taper * w)) / lam
-    if want_grad:
-        t = model.ds_values(x_block, theta) / s[:, None]
-        grad = 0.5 * ((det_taper * w * (q - 1.0 / (lam + 1.0))) @ t)
-    return value, grad
+    return value, 0.5 * ((det_taper * w * (q - 1.0 / (lam + 1.0))) @ t)
 
 
-def _eval_general(path, model, theta, config, want_grad):
+def _eval_general(path, model, theta, config):
     """Batched d >= 1 matrix path; reference implementation for the d=1 fast path.
 
     Per increment, with S = L L', z = L^{-1} eps and A_k = L^{-1} d_k S L^{-T}:
@@ -190,82 +180,34 @@ def _eval_general(path, model, theta, config, want_grad):
     log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
     z = np.linalg.solve(lower, eps[:, :, None])[:, :, 0]
     quad = np.einsum("ja,ja->j", z, z)
-    if want_grad:
-        a = whitened_derivatives(lower, model.ds_values(x_block, theta).reshape(n, p, d, d))
-        t = np.trace(a, axis1=2, axis2=3)
-        q = np.einsum("ja,jkab,jb->jk", z, a, z)
+    a = whitened_derivatives(lower, model.ds_values(x_block, theta).reshape(n, p, d, d))
+    t = np.trace(a, axis1=2, axis2=3)
+    q = np.einsum("ja,jkab,jb->jk", z, a, z)
 
-    grads = None
     lam = config.lam
     if config.variant is Variant.GQLF:
         values = -0.5 * (log_det + quad)
-        if want_grad:
-            grads = -0.5 * (t - q)
+        grads = -0.5 * (t - q)
     else:
         w = np.exp(-0.5 * lam * (d * LOG_2PI + quad))
         if config.variant is Variant.DENSITY_POWER:
             kconst = k_const(lam, d)
             taper = np.exp(-0.5 * lam * log_det)
             values = taper * (w / lam - kconst)
-            if want_grad:
-                grads = 0.5 * taper[:, None] * (w[:, None] * (q - t) + lam * kconst * t)
+            grads = 0.5 * taper[:, None] * (w[:, None] * (q - t) + lam * kconst * t)
         else:
             taper = np.exp(-0.5 * lam / (lam + 1.0) * log_det)
             values = taper * w / lam
-            if want_grad:
-                grads = 0.5 * (taper * w)[:, None] * (q - t / (lam + 1.0))
-    total = float(np.sum(values))
-    grad = np.sum(grads, axis=0) if want_grad else None
-    return total, grad
-
-
-def _evaluate(path, model, theta, config, want_grad=False):
-    if model.d == 1:
-        return _eval_d1(path, model, theta, config, want_grad)
-    return _eval_general(path, model, theta, config, want_grad)
-
-
-def gqlf(path: ObservationPath, model: ModelSpec, theta) -> float:
-    """Conventional Gaussian quasi-log-likelihood (constant dropped)."""
-    return _evaluate(path, model, theta, RobustConfig.gqlf())[0]
-
-
-def dp_gqlf(path: ObservationPath, model: ModelSpec, theta, lam: float) -> float:
-    """Density-power tapered quasi-likelihood."""
-    return _evaluate(path, model, theta, RobustConfig.density_power(lam))[0]
-
-
-def hoelder_gqlf(path: ObservationPath, model: ModelSpec, theta, lam: float) -> float:
-    """Hoelder-normalized quasi-likelihood."""
-    return _evaluate(path, model, theta, RobustConfig.hoelder(lam))[0]
-
-
-def objective(path: ObservationPath, model: ModelSpec, theta, config: RobustConfig) -> float:
-    """Dispatch to the configured variant."""
-    return _evaluate(path, model, theta, config)[0]
+            grads = 0.5 * (taper * w)[:, None] * (q - t / (lam + 1.0))
+    return float(np.sum(values)), np.sum(grads, axis=0)
 
 
 def value_and_grad(path, model, theta, config) -> tuple[float, np.ndarray]:
-    """Objective and its analytic gradient in one pass (shared S/dS evaluation)."""
-    return _evaluate(path, model, theta, config, want_grad=True)
+    """Objective and its analytic gradient in one pass (shared S/dS evaluation).
 
-
-def grad_objective(path, model, theta, config) -> np.ndarray:
-    """Analytic gradient of the objective from the model's dS."""
-    return value_and_grad(path, model, theta, config)[1]
-
-
-def hess_objective(path, model, theta, config) -> np.ndarray:
-    """Symmetrized central finite-difference Hessian of the analytic gradient."""
-    theta = np.asarray(theta, dtype=float)
-    p = theta.shape[0]
-    hess = np.empty((p, p))
-    for k in range(p):
-        step = 1e-4 * (1.0 + abs(theta[k]))
-        up, down = theta.copy(), theta.copy()
-        up[k] += step
-        down[k] -= step
-        g_up = grad_objective(path, model, up, config)
-        g_down = grad_objective(path, model, down, config)
-        hess[k] = (g_up - g_down) / (2.0 * step)
-    return 0.5 * (hess + hess.T)
+    The one public objective function: the estimator maximizes it, and every
+    variant and dimension goes through it.
+    """
+    if model.d == 1:
+        return _eval_d1(path, model, theta, config)
+    return _eval_general(path, model, theta, config)

@@ -1,16 +1,18 @@
-"""Closed-form Gaussian constants, density-power moments, and the batched SPD kernel.
+"""Closed-form Gaussian constants, density-power coefficients, and the batched SPD kernel.
 
-Everything here is a pure function of its arguments.  The moment identities
-are the workhorses behind the robust objectives and their asymptotic
-covariance matrices: with ``phi`` the d-dimensional standard normal density,
+Everything here is a pure function of its arguments.  The constant
+K_{lam,d} = k_const(lam, d) carries the moment identities behind the robust
+objectives and their asymptotic covariance matrices: with ``phi`` the
+d-dimensional standard normal density,
 
     integral phi(z)^(lam+1) dz                    = (lam+1) * k_const(lam, d)
     integral phi(z)^(lam+1) A[z (x) z] dz         = k_const(lam, d) * tr(A)
     integral phi(z)^(lam+1) A1[z(x)z] A2[z(x)z] dz
         = k_const(lam, d)/(lam+1) * (tr(A1) tr(A2) + 2 tr(A1 A2))
 
-The shipped library uses only these closed forms; numerical quadrature
-oracles live in the test suite.
+The library uses only k_const (and eps_prime/eps_dprime built on it); the
+three identities are implemented in tests/oracles.py, where they are checked
+against numerical quadrature.
 """
 
 from __future__ import annotations
@@ -81,15 +83,6 @@ def whitened_derivatives(lower: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lower, np.swapaxes(half, -1, -2))
 
 
-def _as_symmetric(a) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"not square: shape {a.shape}")
-    if np.abs(a - a.T).max() > 1e-8 * max(np.abs(a).max(), 1.0):
-        raise ValueError("matrix not symmetric")
-    return 0.5 * (a + a.T)
-
-
 def k_const(lam: float, d: int) -> float:
     """The normal-power normalization (2 pi)^(-d lam/2) / (lam+1)^(1+d/2).
 
@@ -102,44 +95,6 @@ def k_const(lam: float, d: int) -> float:
     # exp/log form keeps full precision for the very small lam used in
     # taper-limit checks.
     return float(np.exp(-0.5 * d * lam * LOG_2PI - (1.0 + 0.5 * d) * np.log1p(lam)))
-
-
-def phi_power_integral(a: float, cov) -> float:
-    """integral of phi(z; 0, cov)^a over R^d, equal to a^(-d/2) det(2 pi cov)^((1-a)/2).
-
-    ``cov`` may be a raw SPD array or a positive scalar (d=1).
-    """
-    if a <= 0:
-        raise ValueError(f"power a must be > 0, got {a}")
-    arr = np.asarray(cov, dtype=float)
-    if arr.ndim == 0:
-        # d=1 fast path: scalar variance
-        if not arr > 0:
-            raise CholeskyFailure("scalar variance not positive")
-        d, logdet = 1, float(np.log(arr))
-    else:
-        d, logdet = arr.shape[0], 2.0 * float(np.log(np.diagonal(chol_spd(arr))).sum())
-    log_val = -0.5 * d * np.log(a) + 0.5 * (1.0 - a) * (d * LOG_2PI + logdet)
-    return float(np.exp(log_val))
-
-
-def gauss_quadratic_moment(lam: float, a) -> float:
-    """integral phi(z)^(lam+1) A[z (x) z] dz = k_const(lam, d) * trace(A)."""
-    a = _as_symmetric(a)
-    return k_const(lam, a.shape[0]) * float(np.trace(a))
-
-
-def gauss_biquadratic_moment(lam: float, a1, a2) -> float:
-    """integral phi^(lam+1) A1[z(x)z] A2[z(x)z] dz
-    = k_const/(lam+1) * (tr(A1) tr(A2) + 2 tr(A1 A2)).
-    """
-    a1 = _as_symmetric(a1)
-    a2 = _as_symmetric(a2)
-    if a1.shape != a2.shape:
-        raise ValueError("A1, A2 must have the same dimension")
-    d = a1.shape[0]
-    mixed = float(np.trace(a1) * np.trace(a2) + 2.0 * np.trace(a1 @ a2))
-    return k_const(lam, d) / (lam + 1.0) * mixed
 
 
 def eps_prime(lam: float, d: int) -> float:

@@ -65,20 +65,12 @@ class ParameterBox:
     def p(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, theta: np.ndarray) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all(theta >= self.lower) and np.all(theta <= self.upper))
-
     def clamp(self, theta: np.ndarray) -> np.ndarray:
-        return clamp_to_box(theta, self)
-
-
-def clamp_to_box(theta: np.ndarray, box: ParameterBox) -> np.ndarray:
-    """Componentwise projection of theta onto [lower, upper]."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != box.lower.shape:
-        raise ValueError(f"theta has length {theta.shape[0]}, box has {box.p}")
-    return np.clip(theta, box.lower, box.upper)
+        """Componentwise projection of theta onto [lower, upper]."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if theta.shape != self.lower.shape:
+            raise ValueError(f"theta has length {theta.shape[0]}, box has {self.p}")
+        return np.clip(theta, self.lower, self.upper)
 
 
 @dataclass(frozen=True)

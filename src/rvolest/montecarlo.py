@@ -153,19 +153,6 @@ def run_plan(plan: ExperimentPlan) -> SummaryTable:
     return table
 
 
-def coverage_curve(plan: ExperimentPlan) -> list[tuple[float, int, float]]:
-    """(lambda, coordinate, coverage frequency) rows across the plan's lambda grid."""
-    table = run_plan(plan)
-    cov = table.coverage()
-    rows = []
-    for e, (variant, lam) in enumerate(table.labels):
-        if variant == "gqlf":
-            continue
-        for i in range(table.p):
-            rows.append((lam, i + 1, float(cov[e, i])))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # CSV emission (full double precision, deterministic ordering)
 # ---------------------------------------------------------------------------
@@ -202,26 +189,22 @@ def write_summary_csv(table: SummaryTable, path: str) -> None:
                        "coverage", "failures", "mean_time_s"], rows)
 
 
-def write_raw_theta_csv(table: SummaryTable, path: str) -> None:
-    p = table.p
-    header = ["rep", "estimator", "lambda"] + [f"theta_{i+1}" for i in range(p)]
+def _write_raw_csv(table: SummaryTable, raw: np.ndarray, prefix: str, path: str) -> None:
+    """One row per (rep, estimator) of an (M, n_est, p) raw matrix."""
+    header = ["rep", "estimator", "lambda"] + [f"{prefix}_{i+1}" for i in range(table.p)]
     rows = []
-    for rep in range(table.raw_theta.shape[0]):
+    for rep in range(raw.shape[0]):
         for e, (variant, lam) in enumerate(table.labels):
-            rows.append([rep, variant, float(lam)]
-                        + [float(v) for v in table.raw_theta[rep, e]])
+            rows.append([rep, variant, float(lam)] + [float(v) for v in raw[rep, e]])
     _write_rows(path, header, rows)
+
+
+def write_raw_theta_csv(table: SummaryTable, path: str) -> None:
+    _write_raw_csv(table, table.raw_theta, "theta", path)
 
 
 def write_raw_u_csv(table: SummaryTable, path: str) -> None:
-    p = table.p
-    header = ["rep", "estimator", "lambda"] + [f"u_{i+1}" for i in range(p)]
-    rows = []
-    for rep in range(table.raw_u.shape[0]):
-        for e, (variant, lam) in enumerate(table.labels):
-            rows.append([rep, variant, float(lam)]
-                        + [float(v) for v in table.raw_u[rep, e]])
-    _write_rows(path, header, rows)
+    _write_raw_csv(table, table.raw_u, "u", path)
 
 
 def write_lambda_sweep_csv(table: SummaryTable, path: str) -> None:

@@ -2,14 +2,20 @@
 
 Quadrature lives here (adaptive for d=1, tensor Gauss-Legendre on [-12,12]^2
 for d=2) so the shipped closed forms are always checked against a separate
-computation path; likewise a per-increment slogdet/inv loop checks the
-batched Cholesky kernel.
+computation path; the three Gaussian moment identities, written in terms of
+the library's k_const, are checked against it.  A per-increment slogdet/inv
+loop checks the batched Cholesky kernel, and a finite-difference Hessian of
+the analytic gradient checks the plug-in curvature matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
+
+from rvolest import CholeskyFailure, Variant, k_const, value_and_grad
+from rvolest.likelihood import covariate_block, scaled_increments
+from rvolest.mathcore import LOG_2PI, chol_spd
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(240)
 _LIM = 12.0
@@ -83,6 +89,73 @@ def quad_biquadratic_moment(lam: float, a1, a2) -> float:
     raise ValueError("quadrature oracle supports d in {1, 2}")
 
 
+def _as_symmetric(a) -> np.ndarray:
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"not square: shape {a.shape}")
+    if np.abs(a - a.T).max() > 1e-8 * max(np.abs(a).max(), 1.0):
+        raise ValueError("matrix not symmetric")
+    return 0.5 * (a + a.T)
+
+
+def phi_power_integral(a: float, cov) -> float:
+    """integral of phi(z; 0, cov)^a over R^d, equal to a^(-d/2) det(2 pi cov)^((1-a)/2).
+
+    ``cov`` may be an SPD array (factored by the library's chol_spd) or a
+    positive scalar (d=1).
+    """
+    if a <= 0:
+        raise ValueError(f"power a must be > 0, got {a}")
+    arr = np.asarray(cov, dtype=float)
+    if arr.ndim == 0:
+        if not arr > 0:
+            raise CholeskyFailure("scalar variance not positive")
+        d, logdet = 1, float(np.log(arr))
+    else:
+        d, logdet = arr.shape[0], 2.0 * float(np.log(np.diagonal(chol_spd(arr))).sum())
+    log_val = -0.5 * d * np.log(a) + 0.5 * (1.0 - a) * (d * LOG_2PI + logdet)
+    return float(np.exp(log_val))
+
+
+def gauss_quadratic_moment(lam: float, a) -> float:
+    """integral phi(z)^(lam+1) A[z (x) z] dz = k_const(lam, d) * trace(A)."""
+    a = _as_symmetric(a)
+    return k_const(lam, a.shape[0]) * float(np.trace(a))
+
+
+def gauss_biquadratic_moment(lam: float, a1, a2) -> float:
+    """integral phi^(lam+1) A1[z(x)z] A2[z(x)z] dz
+    = k_const/(lam+1) * (tr(A1) tr(A2) + 2 tr(A1 A2)).
+    """
+    a1 = _as_symmetric(a1)
+    a2 = _as_symmetric(a2)
+    if a1.shape != a2.shape:
+        raise ValueError("A1, A2 must have the same dimension")
+    mixed = float(np.trace(a1) * np.trace(a2) + 2.0 * np.trace(a1 @ a2))
+    return k_const(lam, a1.shape[0]) / (lam + 1.0) * mixed
+
+
+def objective(path, model, theta, config) -> float:
+    """The objective value alone."""
+    return value_and_grad(path, model, theta, config)[0]
+
+
+def hess_objective(path, model, theta, config) -> np.ndarray:
+    """Symmetrized central finite-difference Hessian of the analytic gradient."""
+    theta = np.asarray(theta, dtype=float)
+    p = theta.shape[0]
+    hess = np.empty((p, p))
+    for k in range(p):
+        step = 1e-4 * (1.0 + abs(theta[k]))
+        up, down = theta.copy(), theta.copy()
+        up[k] += step
+        down[k] -= step
+        g_up = value_and_grad(path, model, up, config)[1]
+        g_down = value_and_grad(path, model, down, config)[1]
+        hess[k] = (g_up - g_down) / (2.0 * step)
+    return 0.5 * (hess + hess.T)
+
+
 def random_spd(rng, d: int, scale: float = 1.0) -> np.ndarray:
     a = rng.normal(size=(d, d))
     return scale * (a @ a.T + d * np.eye(d))
@@ -101,8 +174,6 @@ def increment_reference(path, model, theta):
     u_jk = eps_j' S_j^{-1} d_k S_j S_j^{-1} eps_j,
     v_jkl = tr(S_j^{-1} d_k S_j S_j^{-1} d_l S_j)).
     """
-    from rvolest.likelihood import covariate_block, scaled_increments
-
     theta = np.asarray(theta, dtype=float)
     d, p = model.d, model.p
     rows = []
@@ -123,8 +194,6 @@ def increment_reference(path, model, theta):
 
 def objective_reference(path, model, theta, config):
     """(value, gradient) of a quasi-likelihood objective from increment_reference."""
-    from rvolest import Variant
-
     log_det, quad, t, u, _ = increment_reference(path, model, theta)
     d, lam = model.d, config.lam
     if config.variant is Variant.GQLF:

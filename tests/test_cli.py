@@ -1,10 +1,14 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rvolest import make_builtin, objective, RobustConfig
+from oracles import objective
+
+from rvolest import RobustConfig, make_builtin
 from rvolest.cli import main, read_path_csv
 
 
@@ -232,9 +236,23 @@ SPIKE = ["--preset", "sec6-1-spike", "--n", "200", "--seed", "1"]
     ["montecarlo", *SPIKE, "--reps", "2", "--lambda", "3"],
     ["montecarlo", *SPIKE, "--reps", "0"],
     ["cluster", *SPIKE, "--k", "1"],
+    ["estimate", *SPIKE, "--alpha", "0"],
+    ["estimate", *SPIKE, "--alpha", "1.5"],
+    ["montecarlo", *SPIKE, "--reps", "2", "--alpha", "2"],
+    ["estimate", *SPIKE, "--lambda", "0.1,0.5"],
 ], ids=["lambda-range", "lambda-text", "init-length", "true-theta-length",
-        "mc-lambda-range", "mc-zero-reps", "cluster-k1"])
+        "mc-lambda-range", "mc-zero-reps", "cluster-k1", "alpha-zero", "alpha-above-one",
+        "mc-alpha", "lambda-list"])
 def test_bad_argument_exits_2_with_one_line(argv, tmp_path, capsys):
     assert run([*argv, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_import_does_not_load_scipy_stats():
+    # importing scipy.stats slows every cold start; the library needs only
+    # scipy.special.ndtri for its normal quantile
+    code = "import sys, rvolest; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

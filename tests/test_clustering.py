@@ -72,8 +72,9 @@ class TestKmeans:
         values = rng.exponential(size=200)
         part = kmeans(values, 4)
         assert part.sizes.sum() == 200
-        assert set(np.concatenate([part.c_indices, part.d_indices])) == set(range(1, 201))
-        assert not set(part.c_indices) & set(part.d_indices)
+        c_indices = np.flatnonzero(~part.in_d) + 1
+        assert set(np.concatenate([c_indices, part.d_indices])) == set(range(1, 201))
+        assert not set(c_indices) & set(part.d_indices)
         # sizes ascending with C last
         assert all(a <= b for a, b in zip(part.sizes, part.sizes[1:]))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import make_exp_linear_path
+from oracles import hess_objective
 
 import rvolest.estimator as estimator_mod
 from rvolest import (
@@ -17,15 +18,13 @@ from rvolest import (
     eps_prime,
     estimate,
     get_preset,
-    gqlf,
-    hess_objective,
     k_const,
     make_builtin,
     plugin_matrices,
     scaled_increments,
     simulate,
+    value_and_grad,
 )
-from rvolest.likelihood import value_and_grad
 from rvolest.model import CovariateSource
 
 
@@ -82,14 +81,15 @@ class TestOptimizer:
         model = make_builtin("exp-linear-3", box)
         path, _ = make_exp_linear_path(rng, n=200)
         res = estimate(path, model, RobustConfig.gqlf())
-        assert model.box.contains(res.theta_hat)
+        assert np.all((box.lower <= res.theta_hat) & (res.theta_hat <= box.upper))
         assert res.boundary_active.any()  # true optimum lies outside this box
 
     def test_initial_override_clamped(self, rng):
         path, model = make_exp_linear_path(rng, n=100)
         opts = OptimizerOptions(initial=np.array([50.0, 0.0, 0.0]))
         res = estimate(path, model, RobustConfig.gqlf(), opts)
-        assert model.box.contains(res.theta_hat)
+        box = model.box
+        assert np.all((box.lower <= res.theta_hat) & (res.theta_hat <= box.upper))
 
     def test_failed_trial_point_raises_with_index(self):
         # S(theta) = theta with a non-SPD region inside the box: a
@@ -237,6 +237,12 @@ class TestConfidenceIntervals:
         with pytest.raises(SingularGamma):
             confidence_intervals(np.zeros(2), np.zeros((2, 2)), np.eye(2), n=10)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.5, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # 0 gives infinite bounds, (1, 2) reversed ones, >= 2 or < 0 NaN
+        with pytest.raises(ValueError, match="alpha"):
+            confidence_intervals(np.zeros(1), np.eye(1), np.eye(1), n=10, alpha=alpha)
+
     def test_ci_brackets_estimate(self, rng):
         path, model = make_exp_linear_path(rng, n=500)
         res = estimate(path, model, RobustConfig.density_power(0.3))
@@ -281,4 +287,5 @@ class TestCleanDataConsistency:
         path, model = make_exp_linear_path(rng, n=5000)
         res = estimate(path, model, RobustConfig.gqlf())
         np.testing.assert_allclose(res.theta_hat, [-2.0, 3.0, 0.0], atol=0.15)
-        assert gqlf(path, model, res.theta_hat) == res.objective_value
+        value, _ = value_and_grad(path, model, res.theta_hat, RobustConfig.gqlf())
+        assert value == res.objective_value

@@ -4,24 +4,23 @@ from conftest import make_exp_linear_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hess_objective, objective, objective_reference
+
 from rvolest import (
     CholeskyFailure,
     ObservationPath,
     RobustConfig,
     Variant,
-    dp_gqlf,
-    gqlf,
-    grad_objective,
-    hess_objective,
-    hoelder_gqlf,
     k_const,
     make_builtin,
-    objective,
     scaled_increments,
+    value_and_grad,
 )
-from rvolest.likelihood import _eval_d1, _eval_general, value_and_grad
+from rvolest.likelihood import LAMBDA_BAR, _eval_d1, _eval_general
 
-LOG_2PI = np.log(2 * np.pi)
+GQLF = RobustConfig.gqlf()
+DP = RobustConfig.density_power
+HO = RobustConfig.hoelder
 
 
 def single_increment_path(s_value: float, eps: float):
@@ -38,44 +37,45 @@ def single_increment_path(s_value: float, eps: float):
 class TestHandValues:
     def test_gqlf_zero_increments_identity_s(self):
         path, model, theta = single_increment_path(1.0, 0.0)
-        assert gqlf(path, model, theta) == pytest.approx(0.0, abs=1e-15)
+        assert objective(path, model, theta, GQLF) == pytest.approx(0.0, abs=1e-15)
 
     def test_gqlf_hand_value(self):
         path, model, theta = single_increment_path(2.0, 1.0)
-        assert gqlf(path, model, theta) == pytest.approx(-0.5 * (np.log(2.0) + 0.5), rel=1e-12)
-        assert gqlf(path, model, theta) == pytest.approx(-0.59657, abs=1e-5)
+        value = objective(path, model, theta, GQLF)
+        assert value == pytest.approx(-0.5 * (np.log(2.0) + 0.5), rel=1e-12)
+        assert value == pytest.approx(-0.59657, abs=1e-5)
 
     def test_dp_hand_value(self):
         path, model, theta = single_increment_path(1.0, 0.0)
         want = 1.0 / np.sqrt(2 * np.pi) - k_const(1.0, 1)
-        assert dp_gqlf(path, model, theta, 1.0) == pytest.approx(want, rel=1e-12)
-        assert dp_gqlf(path, model, theta, 1.0) == pytest.approx(0.2578949, abs=1e-7)
+        assert objective(path, model, theta, DP(1.0)) == pytest.approx(want, rel=1e-12)
+        assert objective(path, model, theta, DP(1.0)) == pytest.approx(0.2578949, abs=1e-7)
 
     def test_hoelder_hand_value(self):
         path, model, theta = single_increment_path(1.0, 0.0)
-        assert hoelder_gqlf(path, model, theta, 1.0) == pytest.approx(0.3989423, abs=1e-7)
+        assert objective(path, model, theta, HO(1.0)) == pytest.approx(0.3989423, abs=1e-7)
 
     def test_dp_huge_increment_limit(self):
         # phi^lam -> 0, so the summand tends to -K * det^{-lam/2}
         for s, lam in ((1.0, 1.0), (2.5, 0.4)):
             path, model, theta = single_increment_path(s, 1e8)
             want = -k_const(lam, 1) * s ** (-lam / 2.0)
-            assert dp_gqlf(path, model, theta, lam) == pytest.approx(want, rel=1e-12)
+            assert objective(path, model, theta, DP(lam)) == pytest.approx(want, rel=1e-12)
 
     def test_hoelder_huge_increment_limit(self):
         path, model, theta = single_increment_path(1.0, 1e8)
-        assert hoelder_gqlf(path, model, theta, 1.0) == pytest.approx(0.0, abs=1e-300)
+        assert objective(path, model, theta, HO(1.0)) == pytest.approx(0.0, abs=1e-300)
 
     def test_objective_dispatch(self, rng):
+        # value_and_grad evaluates the formula of the configured variant
         path, model = make_exp_linear_path(rng, n=32)
         theta = np.array([-1.0, 2.0, 0.3])
-        assert objective(path, model, theta, RobustConfig.gqlf()) == gqlf(path, model, theta)
-        assert objective(path, model, theta, RobustConfig.density_power(0.7)) == dp_gqlf(
-            path, model, theta, 0.7
-        )
-        assert objective(path, model, theta, RobustConfig.hoelder(0.7)) == hoelder_gqlf(
-            path, model, theta, 0.7
-        )
+        values = []
+        for config in (GQLF, DP(0.7), HO(0.7)):
+            want, _ = objective_reference(path, model, theta, config)
+            values.append(objective(path, model, theta, config))
+            assert values[-1] == pytest.approx(want, rel=1e-12)
+        assert len(set(values)) == 3
 
 
 class TestLambdaZeroDegeneracy:
@@ -104,14 +104,16 @@ class TestLambdaZeroDegeneracy:
             path, model = make_exp_linear_path(rng, n=n)
             th1 = theta0 + rng.uniform(-1.5, 1.5, size=3)
             th2 = theta0 + rng.uniform(-1.5, 1.5, size=3)
-            want = gqlf(path, model, th1) - gqlf(path, model, th2)
+            want = objective(path, model, th1, GQLF) - objective(path, model, th2, GQLF)
             got_dp = self.dp_transform(
-                path, dp_gqlf(path, model, th1, self.LAM) - dp_gqlf(path, model, th2, self.LAM)
+                path,
+                objective(path, model, th1, DP(self.LAM))
+                - objective(path, model, th2, DP(self.LAM)),
             )
             got_ho = self.hoelder_transform(
                 path,
-                hoelder_gqlf(path, model, th1, self.LAM)
-                - hoelder_gqlf(path, model, th2, self.LAM),
+                objective(path, model, th1, HO(self.LAM))
+                - objective(path, model, th2, HO(self.LAM)),
             )
             assert got_dp == pytest.approx(want, rel=1e-3)
             assert got_ho == pytest.approx(want, rel=1e-3)
@@ -126,7 +128,7 @@ class TestBoundedness:
     @settings(max_examples=200, deadline=None)
     def test_dp_summand_bounds(self, lam, det, eps):
         path, model, theta = single_increment_path(det, eps)
-        val = dp_gqlf(path, model, theta, lam)
+        val = objective(path, model, theta, DP(lam))
         kconst = k_const(lam, 1)
         lo = -kconst * det ** (-lam / 2.0)
         hi = det ** (-lam / 2.0) * ((2 * np.pi) ** (-lam / 2.0) / lam - kconst)
@@ -140,7 +142,7 @@ class TestBoundedness:
     @settings(max_examples=200, deadline=None)
     def test_hoelder_summand_bounds(self, lam, det, eps):
         path, model, theta = single_increment_path(det, eps)
-        val = hoelder_gqlf(path, model, theta, lam)
+        val = objective(path, model, theta, HO(lam))
         hi = det ** (-lam / (2 * (lam + 1.0))) * (2 * np.pi) ** (-lam / 2.0) / lam
         assert 0.0 <= val <= hi + 1e-12
 
@@ -148,8 +150,8 @@ class TestBoundedness:
         path, model = make_exp_linear_path(rng, n=50)
         theta = np.array([-2.0, 3.0, 0.0])
         lam = 0.5
-        base_dp = dp_gqlf(path, model, theta, lam)
-        base_gq = gqlf(path, model, theta)
+        base_dp = objective(path, model, theta, DP(lam))
+        base_gq = objective(path, model, theta, GQLF)
         contaminated = np.array(path.responses[:, 0], copy=True)
         contaminated[-1] += 1e7  # only the last increment changes
         bad = ObservationPath(
@@ -158,8 +160,8 @@ class TestBoundedness:
         )
         s_last = model.S(path.covariates[-2], theta)
         width = s_last ** (-lam / 2.0) * (2 * np.pi) ** (-lam / 2.0) / lam
-        assert abs(dp_gqlf(bad, model, theta, lam) - base_dp) <= width + 1e-12
-        assert abs(gqlf(bad, model, theta) - base_gq) > 1e6
+        assert abs(objective(bad, model, theta, DP(lam)) - base_dp) <= width + 1e-12
+        assert abs(objective(bad, model, theta, GQLF) - base_gq) > 1e6
 
 
 class TestGradients:
@@ -177,7 +179,7 @@ class TestGradients:
 
     @pytest.mark.parametrize(
         "config",
-        [RobustConfig.gqlf(), RobustConfig.density_power(0.5), RobustConfig.hoelder(0.5)],
+        [GQLF, DP(0.5), HO(0.5)],
         ids=["gqlf", "dp", "holder"],
     )
     def test_grad_matches_fd(self, config, rng):
@@ -185,7 +187,7 @@ class TestGradients:
         for _ in range(50):
             path, model = make_exp_linear_path(rng, n=40)
             theta = rng.uniform(-3, 3, size=3)
-            analytic = grad_objective(path, model, theta, config)
+            analytic = value_and_grad(path, model, theta, config)[1]
             numeric = self.fd_grad(path, model, theta, config)
             rel = np.abs(analytic - numeric).max() / max(1e-8, np.abs(analytic).max())
             worst = max(worst, rel)
@@ -194,19 +196,15 @@ class TestGradients:
     def test_gqlf_gradient_hand_value(self):
         # d=1, S=e^theta, eps=0, n=1: gradient of -1/2(theta + eps^2 e^-theta) is -1/2
         path, model, _ = single_increment_path(1.0, 0.0)
-        grad = grad_objective(path, model, np.array([0.0]), RobustConfig.gqlf())
+        grad = value_and_grad(path, model, np.array([0.0]), GQLF)[1]
         assert grad[0] == pytest.approx(-0.5, rel=1e-12)
 
     def test_fast_path_matches_matrix_path(self, rng):
-        for config in (
-            RobustConfig.gqlf(),
-            RobustConfig.density_power(0.8),
-            RobustConfig.hoelder(0.3),
-        ):
+        for config in (GQLF, DP(0.8), HO(0.3)):
             path, model = make_exp_linear_path(rng, n=30)
             theta = rng.uniform(-2, 2, size=3)
-            v1, g1 = _eval_d1(path, model, theta, config, True)
-            v2, g2 = _eval_general(path, model, theta, config, True)
+            v1, g1 = _eval_d1(path, model, theta, config)
+            v2, g2 = _eval_general(path, model, theta, config)
             assert v1 == pytest.approx(v2, rel=1e-12)
             np.testing.assert_allclose(g1, g2, rtol=1e-10)
 
@@ -214,9 +212,7 @@ class TestGradients:
 class TestHessian:
     def test_symmetric(self, rng):
         path, model = make_exp_linear_path(rng, n=30)
-        hess = hess_objective(
-            path, model, np.array([-1.0, 1.0, 0.2]), RobustConfig.density_power(0.5)
-        )
+        hess = hess_objective(path, model, np.array([-1.0, 1.0, 0.2]), DP(0.5))
         assert np.abs(hess - hess.T).max() < 1e-8
 
     def test_const_path_information_limit(self):
@@ -231,7 +227,7 @@ class TestHessian:
             n=n, T=1.0, times=np.arange(n + 1) * h,
             covariates=np.zeros((n + 1, 1)), responses=responses,
         )
-        hess = hess_objective(path, model, np.array([0.0]), RobustConfig.gqlf())
+        hess = hess_objective(path, model, np.array([0.0]), GQLF)
         assert -hess[0, 0] / n == pytest.approx(0.5, rel=1e-6)
 
 
@@ -241,7 +237,7 @@ class TestValidationAndErrors:
             RobustConfig.density_power(0.0)
         with pytest.raises(ValueError):
             RobustConfig.hoelder(2.5)
-        RobustConfig.hoelder(2.5, lambda_bar=3.0)  # widened bar is fine
+        assert RobustConfig.hoelder(LAMBDA_BAR).lam == LAMBDA_BAR  # closed at the bar
         assert RobustConfig.gqlf().variant is Variant.GQLF
 
     def test_path_validation(self):
@@ -270,7 +266,7 @@ class TestValidationAndErrors:
             covariates=None, responses=np.array([0.0, 0.1, 0.2, 0.3]),
         )
         with pytest.raises(CholeskyFailure) as err:
-            gqlf(path, model, np.array([0.0, 0.0]))
+            objective(path, model, np.array([0.0, 0.0]), GQLF)
         assert err.value.index == 1
 
     def test_missing_external_covariates(self):
@@ -280,12 +276,17 @@ class TestValidationAndErrors:
             covariates=None, responses=np.zeros(3),
         )
         with pytest.raises(ValueError):
-            gqlf(path, model, np.zeros(3))
+            objective(path, model, np.zeros(3), GQLF)
 
     def test_value_and_grad_consistent(self, rng):
         path, model = make_exp_linear_path(rng, n=25)
         theta = np.array([0.5, -0.5, 1.0])
-        config = RobustConfig.density_power(0.3)
+        config = DP(0.3)
         val, grad = value_and_grad(path, model, theta, config)
-        assert val == objective(path, model, theta, config)
-        np.testing.assert_allclose(grad, grad_objective(path, model, theta, config))
+        want_val, want_grad = objective_reference(path, model, theta, config)
+        assert val == pytest.approx(want_val, rel=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-10)
+        # pure: a second call gives bit-identical output
+        val2, grad2 = value_and_grad(path, model, theta, config)
+        assert val2 == val
+        np.testing.assert_array_equal(grad2, grad)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from oracles import (
+    gauss_biquadratic_moment,
+    gauss_quadratic_moment,
+    phi_power_integral,
     quad_biquadratic_moment,
     quad_phi_power,
     quad_quadratic_moment,
@@ -8,15 +11,7 @@ from oracles import (
     random_symmetric,
 )
 
-from rvolest import (
-    CholeskyFailure,
-    eps_dprime,
-    eps_prime,
-    gauss_biquadratic_moment,
-    gauss_quadratic_moment,
-    k_const,
-    phi_power_integral,
-)
+from rvolest import CholeskyFailure, eps_dprime, eps_prime, k_const
 from rvolest.mathcore import chol_spd
 
 

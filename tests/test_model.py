@@ -7,7 +7,6 @@ from rvolest import (
     BUILTIN_NAMES,
     ParameterBox,
     UnknownModel,
-    clamp_to_box,
     make_builtin,
 )
 from rvolest.model import CovariateSource
@@ -114,10 +113,10 @@ class TestParameterBox:
     def test_clamp_examples(self):
         box = ParameterBox(lower=[-10.0] * 3, upper=[10.0] * 3, initial=[0.0] * 3)
         inside = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(clamp_to_box(inside, box), inside)
-        clipped = clamp_to_box(np.array([-12.0, 0.0, 0.0]), box)
+        np.testing.assert_array_equal(box.clamp(inside), inside)
+        clipped = box.clamp(np.array([-12.0, 0.0, 0.0]))
         assert clipped[0] == -10.0
-        np.testing.assert_array_equal(clamp_to_box(box.upper, box), box.upper)
+        np.testing.assert_array_equal(box.clamp(box.upper), box.upper)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,15 +126,10 @@ class TestParameterBox:
         with pytest.raises(ValueError):
             ParameterBox(lower=[0.0, 1.0], upper=[1.0], initial=[0.5])
 
-    def test_contains(self):
-        box = ParameterBox(lower=[0.0], upper=[1.0], initial=[0.5])
-        assert box.contains(np.array([1.0]))
-        assert not box.contains(np.array([1.0 + 1e-9]))
-
     def test_dimension_mismatch_in_clamp(self):
         box = ParameterBox(lower=[0.0], upper=[1.0], initial=[0.5])
         with pytest.raises(ValueError):
-            clamp_to_box(np.array([0.1, 0.2]), box)
+            box.clamp(np.array([0.1, 0.2]))
 
     def test_custom_box_threading(self):
         box = ParameterBox(lower=[-1.0] * 3, upper=[1.0] * 3, initial=[0.1] * 3)

@@ -8,7 +8,6 @@ from rvolest import (
     CholeskyFailure,
     ExperimentPlan,
     RobustConfig,
-    coverage_curve,
     get_preset,
     run_plan,
 )
@@ -83,28 +82,6 @@ class TestRunPlan:
                           estimators=(RobustConfig.gqlf(),))
         table = run_plan(plan)
         np.testing.assert_allclose(table.mean()[0], [-2.0, 3.0, 0.0], atol=0.25)
-
-
-class TestCoverageCurve:
-    def test_rows(self):
-        plan = small_plan(
-            replications=3,
-            preset="sec6-1-clean",
-            estimators=(
-                RobustConfig.density_power(0.3),
-                RobustConfig.density_power(0.7),
-            ),
-        )
-        rows = coverage_curve(plan)
-        assert [(lam, coord) for lam, coord, _ in rows] == [
-            (0.3, 1), (0.3, 2), (0.3, 3), (0.7, 1), (0.7, 2), (0.7, 3),
-        ]
-        assert all(0.0 <= c <= 1.0 for _, _, c in rows)
-
-    def test_gqlf_excluded(self):
-        plan = small_plan(replications=2, preset="sec6-1-clean")
-        rows = coverage_curve(plan)
-        assert all(lam == 0.5 for lam, _, _ in rows)
 
 
 class TestCsvOutputs:

@@ -4,7 +4,7 @@ batched kernel against a per-increment reference at d = 2 and d = 3."""
 
 import numpy as np
 import pytest
-from oracles import increment_reference, objective_reference
+from oracles import hess_objective, increment_reference, objective, objective_reference
 
 from rvolest import (
     CholeskyFailure,
@@ -12,14 +12,11 @@ from rvolest import (
     ObservationPath,
     ParameterBox,
     RobustConfig,
-    dp_gqlf,
     estimate,
-    grad_objective,
-    hess_objective,
     k_const,
-    objective,
     plugin_matrices,
     residuals,
+    value_and_grad,
 )
 from rvolest.estimator import _trace_stats
 from rvolest.model import CovariateSource
@@ -70,7 +67,7 @@ def test_gradient_matches_fd(config, rng):
     path, model = make_path(rng, n=120)
     for _ in range(5):
         theta = rng.uniform(-1.0, 1.0, size=2)
-        analytic = grad_objective(path, model, theta, config)
+        analytic = value_and_grad(path, model, theta, config)[1]
         fd = np.empty(2)
         for k in range(2):
             step = 1e-6 * (1 + abs(theta[k]))
@@ -120,7 +117,8 @@ def test_residual_norms_standardized(rng):
 def test_dp_influence_bounded_d2(rng):
     path, model = make_path(rng, n=100)
     lam = 0.5
-    base = dp_gqlf(path, model, THETA0, lam)
+    config = RobustConfig.density_power(lam)
+    base = objective(path, model, THETA0, config)
     contaminated = np.array(path.responses, copy=True)
     contaminated[-1] += np.array([1e6, -1e6])
     bad = ObservationPath(
@@ -129,7 +127,7 @@ def test_dp_influence_bounded_d2(rng):
     )
     det = float(np.linalg.det(model.S(None, THETA0)))
     width = det ** (-lam / 2.0) * (2 * np.pi) ** (-lam) / lam  # d = 2
-    assert abs(dp_gqlf(bad, model, THETA0, lam) - base) <= width + 1e-12
+    assert abs(objective(bad, model, THETA0, config) - base) <= width + 1e-12
     # sanity: the bound uses the K constant consistently
     assert k_const(lam, 2) > 0
 
@@ -182,8 +180,9 @@ def test_batched_kernel_matches_per_increment_reference(d, rng):
     log_det, quad, t, _, v = increment_reference(path, model, theta)
     for config in CONFIGS:
         value, grad = objective_reference(path, model, theta, config)
-        assert_close(objective(path, model, theta, config), value)
-        assert_close(grad_objective(path, model, theta, config), grad)
+        got_value, got_grad = value_and_grad(path, model, theta, config)
+        assert_close(got_value, value)
+        assert_close(got_grad, grad)
     got_log_det, got_t, got_v = _trace_stats(path, model, theta)
     assert_close(got_log_det, log_det)
     assert_close(got_t, t)
@@ -206,7 +205,7 @@ def test_indefinite_increment_reported_by_every_consumer(rng):
     path = random_path(rng, n, 2, covariates)
     theta = np.array([0.2])
     for config in CONFIGS:
-        for call in (objective, grad_objective, plugin_matrices):
+        for call in (value_and_grad, plugin_matrices):
             with pytest.raises(CholeskyFailure) as err:
                 call(path, model, theta, config)
             assert err.value.index == k
