@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .simulator import (
     scenario_from_dict,
     scenario_to_dict,
     simulate,
-    with_seed,
 )
 
 
@@ -98,7 +98,7 @@ def _load_scenario(args) -> Scenario:
     else:
         raise InputError("provide --preset or --config")
     if args.seed is not None:
-        scenario = with_seed(scenario, args.seed)
+        scenario = replace(scenario, seed=args.seed)
     return scenario
 
 
@@ -388,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="scenario seed override")
     common.add_argument("--out", default="rvolest-out", help="output directory")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker processes (fallback: RVOLEST_THREADS, then 1)")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--threads", type=int, default=None,
+                      help="worker processes (fallback: RVOLEST_THREADS, then 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", parents=[common],
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--tol", type=float, default=1e-8)
     p_est.set_defaults(handler=cmd_estimate)
 
-    p_mc = sub.add_parser("montecarlo", parents=[common],
+    p_mc = sub.add_parser("montecarlo", parents=[common, pool],
                           help="replicate simulate+estimate, emit summary tables")
     _add_scenario_flags(p_mc)
     p_mc.add_argument("--reps", type=int, default=200)
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--alpha", type=float, default=0.05)
     p_mc.set_defaults(handler=cmd_montecarlo)
 
-    p_sw = sub.add_parser("sweep-lambda", parents=[common],
+    p_sw = sub.add_parser("sweep-lambda", parents=[common, pool],
                           help="mean/sd of a robust estimator across a lambda grid")
     _add_scenario_flags(p_sw)
     p_sw.add_argument("--reps", type=int, default=200)

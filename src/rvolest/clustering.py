@@ -151,7 +151,6 @@ class KSweepResult:
     d_sizes: tuple[int, ...]
     suggested_k: int
     abrupt_found: bool
-    abrupt_at: int | None        # the K at which |D| first explodes
 
 
 def suggest_k(
@@ -178,14 +177,10 @@ def suggest_k(
         sizes.append(int(part.in_d.sum()))
     for i in range(1, len(ks)):
         if sizes[i] >= threshold * max(sizes[i - 1], 1):
-            return KSweepResult(
-                ks=tuple(ks), d_sizes=tuple(sizes),
-                suggested_k=ks[i] - 1, abrupt_found=True, abrupt_at=ks[i],
-            )
-    return KSweepResult(
-        ks=tuple(ks), d_sizes=tuple(sizes),
-        suggested_k=ks[-1], abrupt_found=False, abrupt_at=None,
-    )
+            return KSweepResult(ks=tuple(ks), d_sizes=tuple(sizes),
+                                suggested_k=ks[i] - 1, abrupt_found=True)
+    return KSweepResult(ks=tuple(ks), d_sizes=tuple(sizes),
+                        suggested_k=ks[-1], abrupt_found=False)
 
 
 class MergeMode(enum.Enum):

@@ -157,6 +157,11 @@ def sandwich_avar(gamma: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (avar + avar.T)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def confidence_intervals(
     theta_hat: np.ndarray,
     gamma: np.ndarray,
@@ -174,8 +179,7 @@ def confidence_intervals(
     available in simulation mode (theta0 supplied).  Raises ValueError unless
     0 < alpha < 1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     theta_hat = np.asarray(theta_hat, dtype=float)
     avar = sandwich_avar(gamma, sigma)
     diag = np.diagonal(avar)
@@ -216,8 +220,10 @@ def estimate(
 
     Deterministic: identical inputs give an identical result.  theta0 (the
     true value, simulation mode) only adds the standardized statistic.
-    Raises CholeskyFailure when S is not SPD at a trial point.
+    Raises CholeskyFailure when S is not SPD at a trial point, and ValueError
+    before any fitting unless 0 < alpha < 1.
     """
+    _check_alpha(alpha)
     opts = opts or OptimizerOptions()
     box = model.box
     start = box.clamp(opts.initial if opts.initial is not None else box.initial)

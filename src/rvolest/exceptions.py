@@ -19,8 +19,8 @@ class CholeskyFailure(RvolestError):
         super().__init__(message)
 
 
-class UnknownModel(RvolestError):
-    """Requested builtin model name is not registered."""
+class UnknownModel(RvolestError, ValueError):
+    """Requested builtin model name is not registered (an input error)."""
 
 
 class SingularGamma(RvolestError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import estimate
+from .estimator import _check_alpha, estimate
 from .exceptions import RvolestError
 from .likelihood import RobustConfig, Variant
 from .model import make_builtin
@@ -41,6 +41,7 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        _check_alpha(self.alpha)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
 
@@ -53,7 +54,6 @@ def estimator_label(config: RobustConfig) -> tuple[str, float]:
 
 @dataclass
 class SummaryTable:
-    plan: ExperimentPlan
     theta0: np.ndarray
     labels: list[tuple[str, float]]
     raw_theta: np.ndarray      # (M, n_est, p); NaN where the fit failed
@@ -131,16 +131,15 @@ def _run_replication(args) -> dict:
 def run_plan(plan: ExperimentPlan) -> SummaryTable:
     """Execute the plan; deterministic for a given (scenario seed, plan)."""
     theta0 = plan.scenario.model.theta0_array()
-    m, n_est, p = plan.replications, len(plan.estimators), theta0.shape[0]
-    jobs = [(plan.scenario, plan.estimators, plan.alpha, rep) for rep in range(m)]
+    jobs = [(plan.scenario, plan.estimators, plan.alpha, rep)
+            for rep in range(plan.replications)]
     if plan.threads > 1:
         with ProcessPoolExecutor(max_workers=plan.threads) as pool:
             records = list(pool.map(_run_replication, jobs, chunksize=1))
     else:
         records = [_run_replication(job) for job in jobs]
 
-    table = SummaryTable(
-        plan=plan,
+    return SummaryTable(
         theta0=theta0,
         labels=[estimator_label(c) for c in plan.estimators],
         raw_theta=np.stack([r["theta"] for r in records]),
@@ -150,7 +149,6 @@ def run_plan(plan: ExperimentPlan) -> SummaryTable:
         failed=np.stack([r["failed"] for r in records]),
         times=np.stack([r["time"] for r in records]),
     )
-    return table
 
 
 # ---------------------------------------------------------------------------

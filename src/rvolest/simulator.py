@@ -12,13 +12,15 @@ the two increments adjacent to t_j).
 Randomness comes from three independent, replication-addressable streams
 (Brownian / Jumps / Spikes) derived from counter-based Philox generators, so
 replications can run in any order on any number of workers and still
-reproduce bit-identically.
+reproduce bit-identically.  `simulate` returns only the observed path; as the
+lanes are independent, ``simulate(replace(sc, spike=None))`` is the same draw
+without spikes and ``simulate(replace(sc, jump=None, spike=None))`` the clean one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -97,6 +99,12 @@ class DgpModel:
     theta0: tuple
     drift: DriftKind = DriftKind.ZERO
 
+    def __post_init__(self):
+        p = make_builtin(self.name).p  # UnknownModel is a ValueError
+        if len(self.theta0) != p:
+            raise ValueError(f"model {self.name!r} needs {p} theta0 entries, "
+                             f"got {len(self.theta0)}")
+
     def theta0_array(self) -> np.ndarray:
         return np.asarray(self.theta0, dtype=float)
 
@@ -120,8 +128,6 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PathBundle:
-    clean: ObservationPath       # no jumps, no spikes
-    jumped: ObservationPath      # jumps, no spikes
     observed: ObservationPath    # full contamination
     jump_times: np.ndarray
     spike_indices: np.ndarray    # observation indices j with p_j = 1
@@ -151,7 +157,10 @@ def _jump_deltas(scenario: Scenario, rng: np.random.Generator, m: int) -> tuple[
 
 
 def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
-    """Generate (clean, jumped, observed) paths sharing one Brownian draw."""
+    """Generate the observed path of one replication.  The same draw without
+    spikes is ``simulate(replace(scenario, spike=None), replication)``, without
+    jumps and spikes ``simulate(replace(scenario, jump=None, spike=None), ...)``.
+    """
     n, sub, T = scenario.n, scenario.substeps, scenario.T
     m = n * sub
     fine_h = T / m
@@ -175,30 +184,17 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         sigma = np.sqrt(model.s_values(x_fine, theta0))
         if scenario.model.drift is not DriftKind.ZERO:
             raise ValueError("deterministic-covariate designs use zero drift")
-        clean_fine = scenario.y0 + np.concatenate([[0.0], np.cumsum(sigma * dw)])
-        jumped_fine = clean_fine + np.concatenate([[0.0], np.cumsum(jump_deltas)])
-        covariates = trig_covariates(obs_times)
-        clean_y = clean_fine[::sub]
-        jumped_y = jumped_fine[::sub]
-        clean_cov = jumped_cov = covariates
+        diffusion = scenario.y0 + np.concatenate([[0.0], np.cumsum(sigma * dw)])
+        y_fine = diffusion + np.concatenate([[0.0], np.cumsum(jump_deltas)])
     elif scenario.covariate is CovariateDesign.SELF_RESPONSE:
-        clean_fine = np.empty(m + 1)
-        jumped_fine = np.empty(m + 1)
-        clean_fine[0] = jumped_fine[0] = scenario.y0
+        y_fine = np.empty(m + 1)
+        y_fine[0] = y = scenario.y0
         s_point = model.S
         drift_on = scenario.model.drift is DriftKind.RESPONSE
-        yc = yj = scenario.y0
         for i in range(m):
-            mu_c = yc if drift_on else 0.0
-            mu_j = yj if drift_on else 0.0
-            yc = yc + mu_c * fine_h + np.sqrt(s_point(yc, theta0)) * dw[i]
-            yj = yj + mu_j * fine_h + np.sqrt(s_point(yj, theta0)) * dw[i] + jump_deltas[i]
-            clean_fine[i + 1] = yc
-            jumped_fine[i + 1] = yj
-        clean_y = clean_fine[::sub]
-        jumped_y = jumped_fine[::sub]
-        clean_cov = clean_y
-        jumped_cov = jumped_y
+            mu = y if drift_on else 0.0
+            y = y + mu * fine_h + np.sqrt(s_point(y, theta0)) * dw[i] + jump_deltas[i]
+            y_fine[i + 1] = y
     else:  # pragma: no cover
         raise ValueError(f"unknown covariate design {scenario.covariate}")
 
@@ -213,19 +209,14 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         spikes = np.zeros(n + 1)
         spike_indices = np.empty(0, dtype=int)
 
-    observed_y = jumped_y + spikes
-    observed_cov = observed_y if scenario.covariate is CovariateDesign.SELF_RESPONSE else jumped_cov
-
-    def _path(cov, y):
-        return ObservationPath(n=n, T=T, times=obs_times, covariates=cov, responses=y)
-
-    return PathBundle(
-        clean=_path(clean_cov, clean_y),
-        jumped=_path(jumped_cov, jumped_y),
-        observed=_path(observed_cov, observed_y),
-        jump_times=jump_times,
-        spike_indices=spike_indices,
-    )
+    observed_y = y_fine[::sub] + spikes
+    if scenario.covariate is CovariateDesign.SELF_RESPONSE:
+        covariates = observed_y
+    else:
+        covariates = trig_covariates(obs_times)
+    observed = ObservationPath(n=n, T=T, times=obs_times, covariates=covariates,
+                               responses=observed_y)
+    return PathBundle(observed, jump_times, spike_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -248,25 +239,24 @@ def get_preset(
     spike_prob: float = 0.01,
     spike_sigma2: float = 1.0,
     jump_rate_factor: float = 0.01,
-    substeps: int = 10,
 ) -> Scenario:
     """Build a named scenario.  jump intensity scales as jump_rate_factor * n / T."""
     trig_model = DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0))
     if name == "sec6-1-clean":
         return Scenario(model=trig_model, covariate=CovariateDesign.TRIG_DETERMINISTIC,
-                        n=n, seed=seed, substeps=substeps)
+                        n=n, seed=seed)
     if name == "sec6-1-spike":
         return Scenario(model=trig_model, covariate=CovariateDesign.TRIG_DETERMINISTIC,
-                        n=n, seed=seed, substeps=substeps,
+                        n=n, seed=seed,
                         spike=SpikeSpec(prob=spike_prob, sigma2=spike_sigma2))
     if name == "sec6-2-jump-normal":
         return Scenario(model=trig_model, covariate=CovariateDesign.TRIG_DETERMINISTIC,
-                        n=n, seed=seed, substeps=substeps,
+                        n=n, seed=seed,
                         jump=JumpSpec(intensity=jump_rate_factor * n, size_law="normal",
                                       mean=0.0, sigma2=3.0))
     if name == "sec6-2-jump-gamma":
         return Scenario(model=trig_model, covariate=CovariateDesign.TRIG_DETERMINISTIC,
-                        n=n, seed=seed, substeps=substeps,
+                        n=n, seed=seed,
                         jump=JumpSpec(intensity=jump_rate_factor * n, size_law="gamma",
                                       shape=1.0, rate=1.0))
     if name == "sec6-5-jumpdiff":
@@ -274,15 +264,11 @@ def get_preset(
             model=DgpModel(name="rational-diffusion", theta0=(2.0, 3.0),
                            drift=DriftKind.RESPONSE),
             covariate=CovariateDesign.SELF_RESPONSE,
-            n=n, seed=seed, substeps=substeps,
+            n=n, seed=seed,
             jump=JumpSpec(intensity=jump_rate_factor * n, size_law="normal",
                           mean=0.0, sigma2=3.0),
         )
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-
-
-def with_seed(scenario: Scenario, seed: int) -> Scenario:
-    return replace(scenario, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,17 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", cfg_file, "--out", out]) == 0
         assert len(read_rows(out / "path.csv")) == 66
 
+    @pytest.mark.parametrize("model", [
+        {"name": "nope", "theta0": [1.0]},
+        {"name": "rational-diffusion", "theta0": [2.0]},
+    ], ids=["unknown-model", "theta0-length"])
+    def test_bad_config_model_is_input_error(self, model, tmp_path, capsys):
+        cfg = {"model": model, "covariate": "self-response", "n": 64}
+        cfg_file = tmp_path / "scenario.json"
+        cfg_file.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", cfg_file, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid scenario config")
+
     def test_malformed_config(self, tmp_path):
         cfg_file = tmp_path / "scenario.json"
         cfg_file.write_text("{not json")
@@ -143,6 +154,17 @@ class TestEstimateCommand:
                     "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert "bad.csv:2" in err
+
+    def test_unknown_model_is_input_error(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("j,t,Y_1\n0,0.0,0.0\n1,1.0,0.1\n")
+        assert run(["estimate", "--path", p, "--model", "nope", "--out", tmp_path]) == 2
+
+    def test_threads_flag_rejected(self, tmp_path):
+        # only montecarlo and sweep-lambda run a worker pool
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", *SPIKE, "--threads", "2", "--out", tmp_path])
+        assert exc.value.code == 2
 
     def test_path_requires_model(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -243,6 +243,20 @@ class TestConfidenceIntervals:
         with pytest.raises(ValueError, match="alpha"):
             confidence_intervals(np.zeros(1), np.eye(1), np.eye(1), n=10, alpha=alpha)
 
+    def test_estimate_rejects_alpha_before_fitting(self, rng, monkeypatch):
+        path, model = make_exp_linear_path(rng, n=50)
+        calls = []
+        original = estimator_mod.value_and_grad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimator_mod, "value_and_grad", counting)
+        with pytest.raises(ValueError, match="alpha"):
+            estimate(path, model, RobustConfig.gqlf(), alpha=1.5)
+        assert calls == []
+
     def test_ci_brackets_estimate(self, rng):
         path, model = make_exp_linear_path(rng, n=500)
         res = estimate(path, model, RobustConfig.density_power(0.3))

@@ -77,6 +77,13 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             small_plan(replications=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    def test_alpha_validated(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentPlan(scenario=get_preset("sec6-1-spike", n=150),
+                           estimators=(RobustConfig.gqlf(),), replications=2,
+                           alpha=alpha)
+
     def test_mean_tracks_truth_on_clean_data(self):
         plan = small_plan(replications=8, preset="sec6-1-clean", n=400,
                           estimators=(RobustConfig.gqlf(),))

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import rvolest.simulator as simulator
 from rvolest import (
     CovariateDesign,
     DgpModel,
@@ -21,8 +24,17 @@ from rvolest.simulator import (
     scenario_from_dict,
     scenario_to_dict,
     trig_covariates,
-    with_seed,
 )
+
+
+def jumped(scenario, replication=0):
+    """The observed path of `scenario` without its spikes."""
+    return simulate(replace(scenario, spike=None), replication).observed
+
+
+def clean(scenario, replication=0):
+    """The observed path of `scenario` without its jumps and spikes."""
+    return simulate(replace(scenario, jump=None, spike=None), replication).observed
 
 
 def spike_scenario(n=200, seed=0, prob=0.05, substeps=4):
@@ -51,28 +63,34 @@ class TestRngStreams:
         assert not np.array_equal(a, b)
 
     def test_lane_isolation_in_simulation(self):
-        # changing the spike law leaves the Brownian and jump draws unchanged
+        # changing the spike law leaves the Brownian and jump draws unchanged:
+        # the paths agree bit for bit away from the spiked observations
         base = simulate(spike_scenario(seed=9, prob=0.0))
         spiked = simulate(spike_scenario(seed=9, prob=0.3))
+        assert spiked.spike_indices.size > 0
+        keep = np.setdiff1d(np.arange(base.observed.n + 1), spiked.spike_indices)
         np.testing.assert_array_equal(
-            base.clean.responses, spiked.clean.responses
+            base.observed.responses[keep], spiked.observed.responses[keep]
         )
 
 
 class TestSimulate:
     def test_no_contamination_collapses_bundle(self):
+        # inactive jump and spike laws give exactly the clean path
         sc = Scenario(
             model=DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0)),
             covariate=CovariateDesign.TRIG_DETERMINISTIC, n=100, seed=5,
+            jump=JumpSpec(intensity=0.0), spike=SpikeSpec(prob=0.0),
         )
         b = simulate(sc)
-        np.testing.assert_array_equal(b.clean.responses, b.jumped.responses)
-        np.testing.assert_array_equal(b.jumped.responses, b.observed.responses)
+        np.testing.assert_array_equal(clean(sc).responses, jumped(sc).responses)
+        np.testing.assert_array_equal(jumped(sc).responses, b.observed.responses)
         assert b.jump_times.size == 0 and b.spike_indices.size == 0
 
     def test_observed_equals_jumped_plus_spikes(self):
-        b = simulate(spike_scenario(seed=11, prob=0.1))
-        delta = b.observed.responses[:, 0] - b.jumped.responses[:, 0]
+        sc = spike_scenario(seed=11, prob=0.1)
+        b = simulate(sc)
+        delta = b.observed.responses[:, 0] - jumped(sc).responses[:, 0]
         nonzero = np.flatnonzero(delta != 0.0)
         assert set(nonzero) <= set(b.spike_indices)
         assert b.spike_indices.size > 0
@@ -104,7 +122,7 @@ class TestSimulate:
         b = simulate(sc)
         if b.jump_times.size == 0:
             pytest.skip("no jump drawn for this seed")
-        diff = b.jumped.responses[:, 0] - b.clean.responses[:, 0]
+        diff = b.observed.responses[:, 0] - clean(sc).responses[:, 0]
         first_affected = int(np.flatnonzero(np.abs(diff) > 1.0)[0])
         expected_obs_index = int(np.ceil(b.jump_times[0] * sc.n / sc.T - 1e-12))
         assert first_affected == max(expected_obs_index, 1)
@@ -116,8 +134,7 @@ class TestSimulate:
             n=100, substeps=2, seed=3,
             jump=JumpSpec(intensity=20.0, size_law="gamma", shape=1.0, rate=1.0),
         )
-        b = simulate(sc)
-        diff = b.jumped.responses[:, 0] - b.clean.responses[:, 0]
+        diff = jumped(sc).responses[:, 0] - clean(sc).responses[:, 0]
         assert diff[-1] > 0.0  # cumulated gamma jumps are positive
 
     def test_jump_scale_zero_disables(self):
@@ -127,8 +144,7 @@ class TestSimulate:
             n=50, substeps=2, seed=3,
             jump=JumpSpec(intensity=20.0, scale=0.0),
         )
-        b = simulate(sc)
-        np.testing.assert_array_equal(b.clean.responses, b.jumped.responses)
+        np.testing.assert_array_equal(clean(sc).responses, jumped(sc).responses)
 
     def test_self_response_covariates_track_observed(self):
         sc = get_preset("sec6-5-jumpdiff", n=400, seed=2)
@@ -136,7 +152,7 @@ class TestSimulate:
         np.testing.assert_array_equal(b.observed.covariates, b.observed.responses)
         # jumps feed back into the self-referential path, so jumped != clean + const
         if b.jump_times.size:
-            diff = b.jumped.responses[:, 0] - b.clean.responses[:, 0]
+            diff = jumped(sc).responses[:, 0] - clean(sc).responses[:, 0]
             assert np.std(np.diff(diff[np.flatnonzero(diff != 0)])) > 0.0
 
     def test_quadratic_variation_ratio(self):
@@ -146,8 +162,7 @@ class TestSimulate:
         ratios = []
         for seed in range(50):
             sc = spike_scenario(n=5000, seed=seed, prob=0.0, substeps=4)
-            b = simulate(sc)
-            qv = float(np.sum(np.diff(b.clean.responses[:, 0]) ** 2))
+            qv = float(np.sum(np.diff(clean(sc).responses[:, 0]) ** 2))
             fine_t = np.linspace(0.0, 1.0, 20_001)[:-1]
             integ = float(np.mean(model.s_values(trig_covariates(fine_t), theta0)))
             ratios.append(qv / integ)
@@ -170,6 +185,24 @@ class TestSimulate:
         assert np.abs(means[0] - means[1]).max() < 0.01
         # and the default-refinement mean sits on the published clean-data row
         assert np.abs(means[0] - np.array([-2.0013, 2.9981, 0.0015])).max() < 0.01
+
+    def test_self_response_calls_pointwise_s_once_per_fine_step(self, monkeypatch):
+        sc = get_preset("sec6-5-jumpdiff", n=200, seed=1)
+        calls = []
+        real_make_builtin = simulator.make_builtin
+
+        def counting_make_builtin(name, box=None):
+            model = real_make_builtin(name, box)
+
+            def counting_s(x, theta):
+                calls.append(x)
+                return model.S(x, theta)
+
+            return replace(model, S=counting_s)
+
+        monkeypatch.setattr(simulator, "make_builtin", counting_make_builtin)
+        simulate(sc)
+        assert len(calls) == sc.n * sc.substeps
 
     def test_drift_requires_self_response(self):
         sc = Scenario(
@@ -206,10 +239,6 @@ class TestPresets:
         with pytest.raises(ValueError):
             scenario_from_dict({"covariate": "trig-deterministic"})
 
-    def test_with_seed(self):
-        sc = get_preset("sec6-1-spike")
-        assert with_seed(sc, 5).seed == 5
-
 
 class TestSpecs:
     def test_spike_validation(self):
@@ -223,6 +252,14 @@ class TestSpecs:
             JumpSpec(intensity=-1.0)
         with pytest.raises(ValueError):
             JumpSpec(intensity=1.0, size_law="cauchy")
+
+    def test_dgp_model_rejects_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown model"):
+            DgpModel(name="nope", theta0=(1.0,))
+
+    def test_dgp_model_rejects_wrong_theta0_length(self):
+        with pytest.raises(ValueError, match="needs 2 theta0 entries"):
+            DgpModel(name="rational-diffusion", theta0=(2.0,))
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
