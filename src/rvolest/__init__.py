@@ -52,7 +52,6 @@ from .montecarlo import (
 )
 from .simulator import (
     PRESET_NAMES,
-    CovariateDesign,
     DgpModel,
     DriftKind,
     JumpSpec,

@@ -24,6 +24,7 @@ from .likelihood import ObservationPath, RobustConfig
 from .model import make_builtin
 from .montecarlo import (
     ExperimentPlan,
+    format_cell,
     run_plan,
     write_lambda_sweep_csv,
     write_raw_theta_csv,
@@ -42,10 +43,6 @@ from .simulator import (
 
 class InputError(Exception):
     """User-input problem; maps to exit code 2."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _resolve_threads(value) -> int:
@@ -140,10 +137,10 @@ def write_path_csv(path: ObservationPath, filename: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for j in range(path.n + 1):
-            row = [str(j), _fmt(path.times[j])]
+            row = [str(j), format_cell(path.times[j])]
             if cov_dim:
-                row += [_fmt(v) for v in path.covariates[j]]
-            row += [_fmt(v) for v in path.responses[j]]
+                row += [format_cell(v) for v in path.covariates[j]]
+            row += [format_cell(v) for v in path.responses[j]]
             writer.writerow(row)
 
 
@@ -196,7 +193,7 @@ def write_truth_csv(bundle, filename: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["kind", "value"])
         for t in bundle.jump_times:
-            writer.writerow(["jump_time", _fmt(t)])
+            writer.writerow(["jump_time", format_cell(t)])
         for j in bundle.spike_indices:
             writer.writerow(["spike_index", str(int(j))])
 
@@ -275,7 +272,7 @@ def cmd_estimate(args) -> int:
     with open(out_file, "w") as fh:
         json.dump(_result_to_dict(res, model_name, path.n, path.T), fh, indent=2)
         fh.write("\n")
-    theta_txt = ", ".join(_fmt(v) for v in res.theta_hat)
+    theta_txt = ", ".join(format_cell(v) for v in res.theta_hat)
     print(f"theta_hat = [{theta_txt}] (converged={res.converged}); wrote {out_file}")
     return 0
 
@@ -346,7 +343,7 @@ def cmd_cluster(args) -> int:
         in_d = part.in_d
         for j in range(path.n):
             writer.writerow([
-                str(j + 1), _fmt(path.times[j + 1]), _fmt(eps_hat[j]),
+                str(j + 1), format_cell(path.times[j + 1]), format_cell(eps_hat[j]),
                 str(int(part.labels[j])), str(int(in_d[j])),
             ])
     if sweep is not None:
@@ -354,7 +351,7 @@ def cmd_cluster(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["K", "size_D", "log_size_D"])
             for k, size in zip(sweep.ks, sweep.d_sizes):
-                writer.writerow([str(k), str(size), _fmt(np.log(max(size, 1)))])
+                writer.writerow([str(k), str(size), format_cell(np.log(max(size, 1)))])
     flagged = int(part.in_d.sum())
     print(f"K={chosen_k}: flagged {flagged} of {path.n} increments; "
           f"wrote clusters.csv in {args.out}")

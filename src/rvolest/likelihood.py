@@ -50,8 +50,8 @@ class ObservationPath:
         responses = np.atleast_1d(np.asarray(self.responses, dtype=float)).copy()
         if responses.ndim == 1:
             responses = responses[:, None]
-        if self.n < 1 or self.T <= 0:
-            raise ValueError("need n >= 1 and T > 0")
+        if not (self.n >= 1 and np.isfinite(self.T) and self.T > 0):
+            raise ValueError("need n >= 1 and finite T > 0")
         if times.shape != (self.n + 1,) or responses.shape[0] != self.n + 1:
             raise ValueError("times and responses must have length n+1")
         expected = np.arange(self.n + 1) * (self.T / self.n)

@@ -31,7 +31,9 @@ from .exceptions import UnknownModel
 
 
 class CovariateSource(enum.Enum):
-    """Where the estimator reads x_{j-1} from."""
+    """Where x_{j-1} comes from.  The estimator reads it from here, and
+    `simulate` takes its design from it: EXTERNAL gets the deterministic trig
+    covariate and zero drift, SELF_RESPONSE the lagged response (Euler loop)."""
 
     EXTERNAL = "external"
     SELF_RESPONSE = "self-response"

@@ -155,9 +155,8 @@ def run_plan(plan: ExperimentPlan) -> SummaryTable:
 # CSV emission (full double precision, deterministic ordering)
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and np.isnan(x):
-        return "nan"
+def format_cell(x) -> str:
+    """A CSV cell: floats at full double precision, anything else via str."""
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
@@ -169,7 +168,7 @@ def _write_rows(path: str, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format_cell(v) for v in row])
 
 
 def write_summary_csv(table: SummaryTable, path: str) -> None:

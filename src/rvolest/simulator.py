@@ -15,18 +15,23 @@ replications can run in any order on any number of workers and still
 reproduce bit-identically.  `simulate` returns only the observed path; as the
 lanes are independent, ``simulate(replace(sc, spike=None))`` is the same draw
 without spikes and ``simulate(replace(sc, jump=None, spike=None))`` the clean one.
+
+The model's ``covariate_source``, which the estimator reads x_{j-1} by, also
+sets the design: an EXTERNAL model gets the trig covariate of `trig_covariates`
+and zero drift (one vectorized pass); a SELF_RESPONSE model runs an Euler loop
+with S at the current response and optional drift mu(y) = y.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .likelihood import ObservationPath
-from .model import make_builtin
+from .model import CovariateSource, make_builtin
 
 
 class Lane(enum.Enum):
@@ -54,10 +59,13 @@ class JumpSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise ValueError("jump intensity must be >= 0")
         if self.size_law not in ("normal", "gamma"):
             raise ValueError(f"unknown size_law {self.size_law!r}")
+        values = [self.intensity, self.mean, self.sigma2, self.shape, self.rate, self.scale]
+        if not (np.all(np.isfinite(values)) and self.intensity >= 0 and self.sigma2 >= 0
+                and self.shape > 0 and self.rate > 0):
+            raise ValueError("jump fields must be finite, with intensity, sigma2 >= 0 "
+                             "and shape, rate > 0")
 
     def draw_sizes(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.size_law == "normal":
@@ -75,20 +83,13 @@ class SpikeSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValueError("spike prob must lie in [0, 1]")
-        if self.sigma2 < 0:
-            raise ValueError("spike sigma2 must be >= 0")
-
-
-class CovariateDesign(enum.Enum):
-    TRIG_DETERMINISTIC = "trig-deterministic"   # (cos 2 pi t, sin 2 pi t, cos 4 pi t)
-    SELF_RESPONSE = "self-response"             # covariate = the response itself
+        if not (0.0 <= self.prob <= 1.0 and np.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError("need spike prob in [0, 1] and finite sigma2 >= 0")
 
 
 class DriftKind(enum.Enum):
     ZERO = "zero"
-    RESPONSE = "response"   # mu(y) = y
+    RESPONSE = "response"   # mu(y) = y, self-response models only
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,14 @@ class DgpModel:
     drift: DriftKind = DriftKind.ZERO
 
     def __post_init__(self):
-        p = make_builtin(self.name).p  # UnknownModel is a ValueError
-        if len(self.theta0) != p:
-            raise ValueError(f"model {self.name!r} needs {p} theta0 entries, "
+        model = make_builtin(self.name)  # UnknownModel is a ValueError
+        if len(self.theta0) != model.p:
+            raise ValueError(f"model {self.name!r} needs {model.p} theta0 entries, "
                              f"got {len(self.theta0)}")
+        if not np.all(np.isfinite(self.theta0_array())):
+            raise ValueError("theta0 entries must be finite")
+        if model.covariate_source is CovariateSource.EXTERNAL and self.drift is not DriftKind.ZERO:
+            raise ValueError(f"model {self.name!r} has an external covariate and needs zero drift")
 
     def theta0_array(self) -> np.ndarray:
         return np.asarray(self.theta0, dtype=float)
@@ -112,7 +117,6 @@ class DgpModel:
 @dataclass(frozen=True)
 class Scenario:
     model: DgpModel
-    covariate: CovariateDesign
     n: int
     T: float = 1.0
     jump: Optional[JumpSpec] = None
@@ -122,8 +126,9 @@ class Scenario:
     y0: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1 or self.T <= 0 or self.substeps < 1:
-            raise ValueError("need n >= 1, T > 0, substeps >= 1")
+        if not (self.n >= 1 and self.substeps >= 1
+                and np.isfinite(self.T) and self.T > 0 and np.isfinite(self.y0)):
+            raise ValueError("need n >= 1, substeps >= 1, finite T > 0 and finite y0")
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,6 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
     n, sub, T = scenario.n, scenario.substeps, scenario.T
     m = n * sub
     fine_h = T / m
-    fine_times = np.arange(m + 1) * fine_h
     obs_times = np.arange(n + 1) * (T / n)
 
     rng_w = rng_stream(scenario.seed, replication, Lane.BROWNIAN)
@@ -176,17 +180,16 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
 
     model = make_builtin(scenario.model.name)
     theta0 = scenario.model.theta0_array()
+    external = model.covariate_source is CovariateSource.EXTERNAL
 
-    if scenario.covariate is CovariateDesign.TRIG_DETERMINISTIC:
+    if external:
         # sigma depends only on time: increments are independent, the jump
         # component is purely additive.
-        x_fine = trig_covariates(fine_times[:-1])
+        x_fine = trig_covariates(np.arange(m) * fine_h)
         sigma = np.sqrt(model.s_values(x_fine, theta0))
-        if scenario.model.drift is not DriftKind.ZERO:
-            raise ValueError("deterministic-covariate designs use zero drift")
         diffusion = scenario.y0 + np.concatenate([[0.0], np.cumsum(sigma * dw)])
         y_fine = diffusion + np.concatenate([[0.0], np.cumsum(jump_deltas)])
-    elif scenario.covariate is CovariateDesign.SELF_RESPONSE:
+    else:
         y_fine = np.empty(m + 1)
         y_fine[0] = y = scenario.y0
         s_point = model.S
@@ -195,8 +198,6 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
             mu = y if drift_on else 0.0
             y = y + mu * fine_h + np.sqrt(s_point(y, theta0)) * dw[i] + jump_deltas[i]
             y_fine[i + 1] = y
-    else:  # pragma: no cover
-        raise ValueError(f"unknown covariate design {scenario.covariate}")
 
     # spike contamination at observation times (drawn for all j to keep the
     # stream layout independent of the Bernoulli outcomes)
@@ -210,10 +211,7 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         spike_indices = np.empty(0, dtype=int)
 
     observed_y = y_fine[::sub] + spikes
-    if scenario.covariate is CovariateDesign.SELF_RESPONSE:
-        covariates = observed_y
-    else:
-        covariates = trig_covariates(obs_times)
+    covariates = trig_covariates(obs_times) if external else observed_y
     observed = ObservationPath(n=n, T=T, times=obs_times, covariates=covariates,
                                responses=observed_y)
     return PathBundle(observed, jump_times, spike_indices)
@@ -243,31 +241,20 @@ def get_preset(
     """Build a named scenario.  jump intensity scales as jump_rate_factor * n / T."""
     trig_model = DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0))
     if name == "sec6-1-clean":
-        return Scenario(model=trig_model, covariate=CovariateDesign.TRIG_DETERMINISTIC,
-                        n=n, seed=seed)
+        return Scenario(model=trig_model, n=n, seed=seed)
     if name == "sec6-1-spike":
-        return Scenario(model=trig_model, covariate=CovariateDesign.TRIG_DETERMINISTIC,
-                        n=n, seed=seed,
+        return Scenario(model=trig_model, n=n, seed=seed,
                         spike=SpikeSpec(prob=spike_prob, sigma2=spike_sigma2))
     if name == "sec6-2-jump-normal":
-        return Scenario(model=trig_model, covariate=CovariateDesign.TRIG_DETERMINISTIC,
-                        n=n, seed=seed,
-                        jump=JumpSpec(intensity=jump_rate_factor * n, size_law="normal",
-                                      mean=0.0, sigma2=3.0))
+        return Scenario(model=trig_model, n=n, seed=seed, jump=JumpSpec(
+            intensity=jump_rate_factor * n, size_law="normal", mean=0.0, sigma2=3.0))
     if name == "sec6-2-jump-gamma":
-        return Scenario(model=trig_model, covariate=CovariateDesign.TRIG_DETERMINISTIC,
-                        n=n, seed=seed,
-                        jump=JumpSpec(intensity=jump_rate_factor * n, size_law="gamma",
-                                      shape=1.0, rate=1.0))
+        return Scenario(model=trig_model, n=n, seed=seed, jump=JumpSpec(
+            intensity=jump_rate_factor * n, size_law="gamma", shape=1.0, rate=1.0))
     if name == "sec6-5-jumpdiff":
-        return Scenario(
-            model=DgpModel(name="rational-diffusion", theta0=(2.0, 3.0),
-                           drift=DriftKind.RESPONSE),
-            covariate=CovariateDesign.SELF_RESPONSE,
-            n=n, seed=seed,
-            jump=JumpSpec(intensity=jump_rate_factor * n, size_law="normal",
-                          mean=0.0, sigma2=3.0),
-        )
+        model = DgpModel(name="rational-diffusion", theta0=(2.0, 3.0), drift=DriftKind.RESPONSE)
+        return Scenario(model=model, n=n, seed=seed, jump=JumpSpec(
+            intensity=jump_rate_factor * n, size_law="normal", mean=0.0, sigma2=3.0))
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
@@ -279,7 +266,6 @@ def scenario_to_dict(s: Scenario) -> dict:
     out = {
         "model": {"name": s.model.name, "theta0": list(s.model.theta0),
                   "drift": s.model.drift.value},
-        "covariate": s.covariate.value,
         "n": s.n,
         "T": s.T,
         "substeps": s.substeps,
@@ -301,8 +287,19 @@ def scenario_to_dict(s: Scenario) -> dict:
     return out
 
 
+def _check_keys(data: dict, record: type, where: str) -> None:
+    """Reject keys that name no field of `record`: a typo must not pass silently."""
+    accepted = [f.name for f in fields(record)]
+    unknown = sorted(set(data) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))} "
+                         f"(accepted: {', '.join(accepted)})")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
+        _check_keys(data, Scenario, "scenario")
+        _check_keys(data["model"], DgpModel, "model")
         model = DgpModel(
             name=data["model"]["name"],
             theta0=tuple(float(v) for v in data["model"]["theta0"]),
@@ -316,7 +313,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             spike = SpikeSpec(**data["spike"])
         return Scenario(
             model=model,
-            covariate=CovariateDesign(data["covariate"]),
             n=int(data["n"]),
             T=float(data.get("T", 1.0)),
             jump=jump,

@@ -72,7 +72,6 @@ class TestSimulateCommand:
     def test_config_file(self, tmp_path):
         cfg = {
             "model": {"name": "exp-linear-3", "theta0": [-2.0, 3.0, 0.0]},
-            "covariate": "trig-deterministic",
             "n": 64, "seed": 1,
         }
         cfg_file = tmp_path / "scenario.json"
@@ -86,11 +85,25 @@ class TestSimulateCommand:
         {"name": "rational-diffusion", "theta0": [2.0]},
     ], ids=["unknown-model", "theta0-length"])
     def test_bad_config_model_is_input_error(self, model, tmp_path, capsys):
-        cfg = {"model": model, "covariate": "self-response", "n": 64}
+        cfg = {"model": model, "n": 64}
         cfg_file = tmp_path / "scenario.json"
         cfg_file.write_text(json.dumps(cfg))
         assert run(["simulate", "--config", cfg_file, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid scenario config")
+
+    @pytest.mark.parametrize("key, value", [
+        ("covariate", "self-response"),  # the design key of older scenario files
+        ("spikes", {"prob": 0.5}),       # a typo of "spike"
+    ])
+    def test_unknown_config_key_exits_2_with_one_line(self, key, value, tmp_path, capsys):
+        cfg = {"model": {"name": "exp-linear-3", "theta0": [-2, 3, 0]}, "n": 50, key: value}
+        cfg_file = tmp_path / "scenario.json"
+        cfg_file.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", cfg_file, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario config: unknown scenario key")
+        assert f"'{key}'" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_config(self, tmp_path):
         cfg_file = tmp_path / "scenario.json"

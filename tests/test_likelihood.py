@@ -251,6 +251,13 @@ class TestValidationAndErrors:
             ObservationPath(n=2, T=1.0, times=np.array([0.0, 0.5, 1.0]),
                             covariates=np.zeros((2, 1)), responses=np.zeros(3))
 
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_path_rejects_nonfinite_horizon(self, T):
+        # a NaN or infinite horizon used to pass the grid check (NaN compares false)
+        with pytest.raises(ValueError, match="finite T"):
+            ObservationPath(n=2, T=T, times=np.array([0.0, 0.5, 1.0]),
+                            covariates=None, responses=np.zeros(3))
+
     def test_scaled_increments_recomputable(self, rng):
         path, _ = make_exp_linear_path(rng, n=16)
         eps = scaled_increments(path)

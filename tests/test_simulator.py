@@ -5,7 +5,8 @@ import pytest
 
 import rvolest.simulator as simulator
 from rvolest import (
-    CovariateDesign,
+    BUILTIN_NAMES,
+    CovariateSource,
     DgpModel,
     DriftKind,
     JumpSpec,
@@ -40,7 +41,6 @@ def clean(scenario, replication=0):
 def spike_scenario(n=200, seed=0, prob=0.05, substeps=4):
     return Scenario(
         model=DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0)),
-        covariate=CovariateDesign.TRIG_DETERMINISTIC,
         n=n, seed=seed, substeps=substeps,
         spike=SpikeSpec(prob=prob, sigma2=1.0),
     )
@@ -79,8 +79,7 @@ class TestSimulate:
         # inactive jump and spike laws give exactly the clean path
         sc = Scenario(
             model=DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0)),
-            covariate=CovariateDesign.TRIG_DETERMINISTIC, n=100, seed=5,
-            jump=JumpSpec(intensity=0.0), spike=SpikeSpec(prob=0.0),
+            n=100, seed=5, jump=JumpSpec(intensity=0.0), spike=SpikeSpec(prob=0.0),
         )
         b = simulate(sc)
         np.testing.assert_array_equal(clean(sc).responses, jumped(sc).responses)
@@ -98,7 +97,6 @@ class TestSimulate:
     def test_poisson_jump_counts(self):
         sc = Scenario(
             model=DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0)),
-            covariate=CovariateDesign.TRIG_DETERMINISTIC,
             n=50, substeps=2, jump=JumpSpec(intensity=50.0, size_law="normal"),
         )
         counts = [simulate(sc, replication=r).jump_times.size for r in range(500)]
@@ -115,7 +113,6 @@ class TestSimulate:
     def test_jump_lands_on_first_gridpoint_after_event(self):
         sc = Scenario(
             model=DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0)),
-            covariate=CovariateDesign.TRIG_DETERMINISTIC,
             n=40, substeps=5, seed=123,
             jump=JumpSpec(intensity=2.0, size_law="normal", mean=50.0, sigma2=0.01),
         )
@@ -130,7 +127,6 @@ class TestSimulate:
     def test_gamma_jump_sizes_positive(self):
         sc = Scenario(
             model=DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0)),
-            covariate=CovariateDesign.TRIG_DETERMINISTIC,
             n=100, substeps=2, seed=3,
             jump=JumpSpec(intensity=20.0, size_law="gamma", shape=1.0, rate=1.0),
         )
@@ -140,7 +136,6 @@ class TestSimulate:
     def test_jump_scale_zero_disables(self):
         sc = Scenario(
             model=DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0)),
-            covariate=CovariateDesign.TRIG_DETERMINISTIC,
             n=50, substeps=2, seed=3,
             jump=JumpSpec(intensity=20.0, scale=0.0),
         )
@@ -205,13 +200,23 @@ class TestSimulate:
         assert len(calls) == sc.n * sc.substeps
 
     def test_drift_requires_self_response(self):
-        sc = Scenario(
-            model=DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0),
-                           drift=DriftKind.RESPONSE),
-            covariate=CovariateDesign.TRIG_DETERMINISTIC, n=10,
-        )
-        with pytest.raises(ValueError):
-            simulate(sc)
+        # an external-covariate model is simulated without drift: asking for
+        # one fails when the model is built, before any draw
+        with pytest.raises(ValueError, match="needs zero drift"):
+            DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0), drift=DriftKind.RESPONSE)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_model_sets_covariate_design(self, name):
+        # the model's covariate convention alone picks the simulated design
+        model = make_builtin(name)
+        sc = Scenario(model=DgpModel(name=name, theta0=tuple(model.box.initial)),
+                      n=50, seed=4)
+        path = simulate(sc).observed
+        if model.covariate_source is CovariateSource.SELF_RESPONSE:
+            np.testing.assert_array_equal(path.covariates, path.responses)
+        else:
+            np.testing.assert_array_equal(path.covariates, trig_covariates(path.times))
+            assert not np.array_equal(path.covariates[:, :1], path.responses)
 
 
 class TestPresets:
@@ -237,7 +242,21 @@ class TestPresets:
 
     def test_invalid_scenario_dict(self):
         with pytest.raises(ValueError):
-            scenario_from_dict({"covariate": "trig-deterministic"})
+            scenario_from_dict({"n": 10})
+
+    def test_scenario_dict_has_no_covariate_design(self):
+        # the model decides the design, so a saved scenario does not repeat it
+        for name in PRESET_NAMES:
+            blob = scenario_to_dict(get_preset(name, n=50))
+            assert set(blob) == {"model", "n", "T", "jump", "spike", "substeps", "seed", "y0"}
+            assert set(blob["model"]) == {"name", "theta0", "drift"}
+
+    @pytest.mark.parametrize("where, key", [("scenario", "spikes"), ("model", "theta")])
+    def test_unknown_scenario_key_rejected(self, where, key):
+        blob = scenario_to_dict(get_preset("sec6-1-clean", n=50))
+        (blob if where == "scenario" else blob["model"])[key] = 1
+        with pytest.raises(ValueError, match=f"unknown {where} key '{key}'"):
+            scenario_from_dict(blob)
 
 
 class TestSpecs:
@@ -263,7 +282,31 @@ class TestSpecs:
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
-            Scenario(
-                model=DgpModel(name="exp-linear-3", theta0=(0.0, 0.0, 0.0)),
-                covariate=CovariateDesign.TRIG_DETERMINISTIC, n=0,
-            )
+            Scenario(model=DgpModel(name="exp-linear-3", theta0=(0.0, 0.0, 0.0)), n=0)
+
+    @pytest.mark.parametrize("fields", [
+        {"sigma2": -1.0}, {"sigma2": np.nan}, {"intensity": np.nan}, {"intensity": np.inf},
+        {"size_law": "gamma", "rate": 0.0}, {"size_law": "gamma", "shape": 0.0},
+        {"mean": np.nan}, {"scale": np.inf},
+    ], ids=["sigma2-negative", "sigma2-nan", "intensity-nan", "intensity-inf",
+            "rate-zero", "shape-zero", "mean-nan", "scale-inf"])
+    def test_jump_rejects_bad_numbers(self, fields):
+        with pytest.raises(ValueError):
+            JumpSpec(**{"intensity": 10.0, **fields})
+
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+    def test_spike_rejects_nonfinite_variance(self, sigma2):
+        with pytest.raises(ValueError):
+            SpikeSpec(prob=0.1, sigma2=sigma2)
+
+    @pytest.mark.parametrize("fields", [
+        {"T": np.nan}, {"T": np.inf}, {"y0": np.nan},
+    ], ids=["T-nan", "T-inf", "y0-nan"])
+    def test_scenario_rejects_nonfinite_numbers(self, fields):
+        with pytest.raises(ValueError):
+            Scenario(model=DgpModel(name="exp-linear-3", theta0=(0.0, 0.0, 0.0)), n=10,
+                     **fields)
+
+    def test_dgp_model_rejects_nonfinite_theta0(self):
+        with pytest.raises(ValueError, match="finite"):
+            DgpModel(name="rational-diffusion", theta0=(2.0, np.nan))
