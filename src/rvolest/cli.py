@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -64,8 +65,24 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise InputError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
 
 
+# Preset-only flags: argparse dest -> (get_preset keyword, the Scenario field
+# that the preset must set for the flag to apply, or None).
+_PRESET_FLAGS = {"n": ("n", None), "spike_prob": ("spike_prob", "spike"),
+                 "spike_sigma2": ("spike_sigma2", "spike"),
+                 "jump_factor": ("jump_rate_factor", "jump")}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _load_scenario(args) -> Scenario:
+    given = {dest: getattr(args, dest) for dest in _PRESET_FLAGS
+             if getattr(args, dest) is not None}
     if getattr(args, "config", None):
+        if given:
+            raise InputError(f"{_flag(next(iter(given)))} applies to presets only; "
+                             f"set it in the config file {args.config}")
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
@@ -85,13 +102,13 @@ def _load_scenario(args) -> Scenario:
             raise InputError(
                 f"unknown preset {args.preset!r}; available: {', '.join(PRESET_NAMES)}"
             )
-        scenario = get_preset(
-            args.preset,
-            n=args.n,
-            spike_prob=args.spike_prob,
-            spike_sigma2=args.spike_sigma2,
-            jump_rate_factor=args.jump_factor,
-        )
+        scenario = get_preset(args.preset,
+                              **{_PRESET_FLAGS[dest][0]: v for dest, v in given.items()})
+        for dest in given:
+            field = _PRESET_FLAGS[dest][1]
+            if field is not None and getattr(scenario, field) is None:
+                raise InputError(f"{_flag(dest)} does not apply: preset {args.preset!r} "
+                                 f"has no {field} contamination")
     else:
         raise InputError("provide --preset or --config")
     if args.seed is not None:
@@ -165,11 +182,16 @@ def read_path_csv(filename: str, T: float | None = None) -> ObservationPath:
                         f"{filename}:{lineno}: expected {len(header)} fields, got {len(row)}"
                     )
                 try:
-                    times.append(float(row[t_col]))
-                    xs.append([float(row[i]) for i in x_cols])
-                    ys.append([float(row[i]) for i in y_cols])
+                    values = {i: float(row[i]) for i in [t_col, *x_cols, *y_cols]}
                 except ValueError as exc:
                     raise InputError(f"{filename}:{lineno}: {exc}") from None
+                for i, v in values.items():
+                    if not math.isfinite(v):
+                        raise InputError(f"{filename}:{lineno}: {header[i]} is {row[i]!r}, "
+                                         "not a finite number")
+                times.append(values[t_col])
+                xs.append([values[i] for i in x_cols])
+                ys.append([values[i] for i in y_cols])
     except OSError as exc:
         raise InputError(f"cannot read {filename}: {exc}") from exc
     if len(times) < 2:
@@ -358,17 +380,16 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _add_scenario_flags(sub, with_n=True):
+def _add_scenario_flags(sub):
     sub.add_argument("--preset", help=f"one of: {', '.join(PRESET_NAMES)}")
     sub.add_argument("--config", help="scenario JSON file")
-    if with_n:
-        sub.add_argument("--n", type=int, default=5000, help="observations (presets)")
-    sub.add_argument("--spike-prob", type=float, default=0.01,
-                     help="spike probability for spike presets")
-    sub.add_argument("--spike-sigma2", type=float, default=1.0,
-                     help="spike variance for spike presets")
-    sub.add_argument("--jump-factor", type=float, default=0.01,
-                     help="jump intensity as a fraction of n for jump presets")
+    sub.add_argument("--n", type=int, default=None, help="observations (presets; default 5000)")
+    sub.add_argument("--spike-prob", type=float, default=None,
+                     help="spike probability for spike presets (default 0.01)")
+    sub.add_argument("--spike-sigma2", type=float, default=None,
+                     help="spike variance for spike presets (default 1.0)")
+    sub.add_argument("--jump-factor", type=float, default=None,
+                     help="jump intensity as a fraction of n for jump presets (default 0.01)")
 
 
 def _add_estimator_flags(sub):

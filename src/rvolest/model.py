@@ -85,6 +85,11 @@ class ModelSpec:
     vectorized evaluators over a whole (n, cov_dim) block of covariates,
     returning the shapes of s_values / ds_values; when absent they are
     synthesized from the pointwise maps.
+
+    For a SELF_RESPONSE model, `simulate`'s Euler loop calls the pointwise S
+    once per fine step with a float y and a float tuple theta, so S should be
+    plain float arithmetic there: numpy calls on scalars cost several times
+    the arithmetic itself.
     """
 
     name: str
@@ -152,9 +157,12 @@ def _rational_diffusion(box: ParameterBox | None) -> ModelSpec:
         return 1.0 / den, y2 / den  # d sigma / d theta_1, d sigma / d theta_2
 
     def S(x, theta):
-        y = float(np.atleast_1d(x)[0])
-        g1, g2 = _sig_parts(y)
-        return (theta[0] * g1 + theta[1] * g2) ** 2
+        # The Euler loop calls this once per fine step with a float y: plain
+        # float arithmetic, in the operation order of s_path.
+        y = x if isinstance(x, float) else float(x[0])
+        y2 = y * y
+        den = 1.0 + y2
+        return (theta[0] * (1.0 / den) + theta[1] * (y2 / den)) ** 2
 
     def dS(x, theta):
         y = float(np.atleast_1d(x)[0])

@@ -5,7 +5,10 @@ Each replication r draws its own (Brownian, Jumps, Spikes) streams keyed by
 records the estimate, the standardized statistic, the coverage indicator of
 the level-(1 - alpha) interval against theta0, timing, and failure flags.
 Replications are independent, so the pool size changes wall time only; raw
-result matrices are identical for any worker count.
+result matrices are identical for any worker count.  Each pool worker runs
+single-threaded BLAS: a worker would otherwise inherit or start OpenBLAS's
+thread count, which is sized for the whole machine, so `threads` workers would
+oversubscribe the cores and run slower than one process.
 
 Failed replications (factorization or singular-curvature errors) are excluded
 from the moment columns and counted; non-converged fits keep their estimate
@@ -15,10 +18,12 @@ but are excluded from coverage.
 from __future__ import annotations
 
 import csv
+import ctypes
 import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,13 +133,70 @@ def _run_replication(args) -> dict:
     return out
 
 
+def _openblas_thread_controls() -> list:
+    """(set_num_threads, get_num_threads) of every OpenBLAS mapped into this
+    process; empty where none is loaded or /proc/self/maps cannot be read.
+    numpy and scipy each bundle their own, with prefixed symbol names."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                try:
+                    set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                    get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                controls.append((set_threads, get_threads))
+    return controls
+
+
+def _single_thread_blas() -> None:
+    """Pool initializer: one BLAS thread per worker.  It acts only where a
+    worker did not inherit the pin of `_blas_pinned_to_one_thread`, as under
+    the spawn and forkserver start methods.  A worker forked under the pin is
+    left alone: setting the count in a forked child restarts OpenBLAS's
+    thread pool, whose new threads spin for a while and take CPU from the
+    workers."""
+    for set_threads, get_threads in _openblas_thread_controls():
+        if get_threads() != 1:
+            set_threads(1)
+
+
+@contextmanager
+def _blas_pinned_to_one_thread():
+    """Every loaded OpenBLAS at one thread for the body, restored after it:
+    pool workers forked inside inherit the setting and start no BLAS threads."""
+    controls = _openblas_thread_controls()
+    before = [get_threads() for _, get_threads in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, before):
+            set_threads(count)
+
+
 def run_plan(plan: ExperimentPlan) -> SummaryTable:
-    """Execute the plan; deterministic for a given (scenario seed, plan)."""
+    """Execute the plan; deterministic for a given (scenario seed, plan).
+    While a pooled plan runs, BLAS in the calling process is single-threaded."""
     theta0 = plan.scenario.model.theta0_array()
     jobs = [(plan.scenario, plan.estimators, plan.alpha, rep)
             for rep in range(plan.replications)]
     if plan.threads > 1:
-        with ProcessPoolExecutor(max_workers=plan.threads) as pool:
+        with _blas_pinned_to_one_thread(), ProcessPoolExecutor(
+                max_workers=plan.threads, initializer=_single_thread_blas) as pool:
             records = list(pool.map(_run_replication, jobs, chunksize=1))
     else:
         records = [_run_replication(job) for job in jobs]

@@ -25,6 +25,7 @@ with S at the current response and optional drift mu(y) = y.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -190,14 +191,17 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         diffusion = scenario.y0 + np.concatenate([[0.0], np.cumsum(sigma * dw)])
         y_fine = diffusion + np.concatenate([[0.0], np.cumsum(jump_deltas)])
     else:
+        # Python floats through memoryviews: numpy scalars would cost several
+        # times the arithmetic, and lists of m floats would raise peak memory.
         y_fine = np.empty(m + 1)
-        y_fine[0] = y = scenario.y0
-        s_point = model.S
+        out = memoryview(y_fine)
+        out[0] = y = float(scenario.y0)
+        s_point, theta = model.S, tuple(theta0.tolist())
         drift_on = scenario.model.drift is DriftKind.RESPONSE
-        for i in range(m):
+        for i, (w, jd) in enumerate(zip(memoryview(dw), memoryview(jump_deltas)), 1):
             mu = y if drift_on else 0.0
-            y = y + mu * fine_h + np.sqrt(s_point(y, theta0)) * dw[i] + jump_deltas[i]
-            y_fine[i + 1] = y
+            y = y + mu * fine_h + math.sqrt(s_point(y, theta)) * w + jd
+            out[i] = y
 
     # spike contamination at observation times (drawn for all j to keep the
     # stream layout independent of the Bernoulli outcomes)

@@ -105,6 +105,34 @@ class TestSimulateCommand:
         assert f"'{key}'" in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("preset, flag, value", [
+        ("sec6-1-clean", "--spike-prob", "0.5"),
+        ("sec6-1-clean", "--jump-factor", "0.3"),
+        ("sec6-5-jumpdiff", "--spike-sigma2", "2"),
+        ("sec6-1-spike", "--jump-factor", "0.3"),
+    ])
+    def test_contamination_flag_the_preset_lacks_exits_2(self, preset, flag, value,
+                                                          tmp_path, capsys):
+        assert run(["simulate", "--preset", preset, "--n", "100", flag, value,
+                    "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} does not apply") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "999"), ("--spike-prob", "0.5"), ("--spike-sigma2", "2"),
+        ("--jump-factor", "0.3"),
+    ])
+    def test_preset_flag_with_config_exits_2(self, flag, value, tmp_path, capsys):
+        cfg_file = tmp_path / "scenario.json"
+        cfg_file.write_text(json.dumps({"model": {"name": "exp-linear-3",
+                                                  "theta0": [-2, 3, 0]}, "n": 50}))
+        assert run(["simulate", "--config", cfg_file, flag, value,
+                    "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} applies to presets only") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_config(self, tmp_path):
         cfg_file = tmp_path / "scenario.json"
         cfg_file.write_text("{not json")
@@ -167,6 +195,23 @@ class TestEstimateCommand:
                     "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert "bad.csv:2" in err
+
+    @pytest.mark.parametrize("column", ["t", "X_2", "Y_1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_exits_2_naming_the_line(self, column, value, tmp_path, capsys):
+        # float() parses these, and the fit would blame the model instead
+        assert run(["simulate", "--preset", "sec6-1-spike", "--n", "50", "--seed", "1",
+                    "--out", tmp_path]) == 0
+        path = tmp_path / "path.csv"
+        rows = read_rows(path)
+        rows[10][rows[0].index(column)] = value  # observation j=9, file line 11
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run(["estimate", "--path", path, "--model", "exp-linear-3",
+                    "--out", tmp_path / "est"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:11: {column} is '{value}'")
+        assert err.count("\n") == 1
 
     def test_unknown_model_is_input_error(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -1,4 +1,7 @@
 import csv
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -126,6 +129,42 @@ class TestCsvOutputs:
         assert rows[0] == ["lambda", "coord", "mean", "sd"]
         assert len(rows) == 1 + 3
         assert all(row[0] == "0.5" for row in rows[1:])
+
+
+def _blas_state():
+    """(OpenBLAS thread counts, OS threads) of the calling process."""
+    counts = [get_threads() for _, get_threads in montecarlo_mod._openblas_thread_controls()]
+    return counts, len(os.listdir("/proc/self/task"))
+
+
+@pytest.fixture
+def openblas():
+    controls = montecarlo_mod._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    return controls
+
+
+def test_pool_initializer_pins_blas_to_one_thread(openblas):
+    # a worker that did not inherit the pin (under another start method,
+    # say) must set one BLAS thread itself
+    with ProcessPoolExecutor(max_workers=1,
+                             initializer=montecarlo_mod._single_thread_blas) as pool:
+        counts, _ = pool.submit(_blas_state).result(timeout=120)
+    assert set(counts) == {1}
+
+
+def test_workers_forked_under_the_pin_start_no_blas_threads(openblas):
+    # run_plan's pool: workers inherit one BLAS thread, so the initializer
+    # leaves OpenBLAS alone and no thread beyond the worker's own starts;
+    # the caller's counts come back afterwards
+    before = [get_threads() for _, get_threads in openblas]
+    with montecarlo_mod._blas_pinned_to_one_thread(), ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("fork"),
+            initializer=montecarlo_mod._single_thread_blas) as pool:
+        counts, os_threads = pool.submit(_blas_state).result(timeout=120)
+    assert set(counts) == {1} and os_threads == 1
+    assert [get_threads() for _, get_threads in openblas] == before
 
 
 def test_estimator_label():

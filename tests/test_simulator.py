@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -198,6 +199,16 @@ class TestSimulate:
         monkeypatch.setattr(simulator, "make_builtin", counting_make_builtin)
         simulate(sc)
         assert len(calls) == sc.n * sc.substeps
+
+    def test_jumpdiff_paths_keep_their_bits(self):
+        # sha256 of the paths that the numpy-scalar Euler loop produced: the
+        # float loop must reproduce every bit
+        sc = get_preset("sec6-5-jumpdiff", n=500, seed=1)
+        digest = hashlib.sha256()
+        for rep in range(3):
+            digest.update(simulate(sc, replication=rep).observed.responses.tobytes())
+        assert digest.hexdigest() == (
+            "2a51644969503c9056b3e54c801f66c18f2315894c6f20ae11d34f4e21e359ae")
 
     def test_drift_requires_self_response(self):
         # an external-covariate model is simulated without drift: asking for
