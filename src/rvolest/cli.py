@@ -48,11 +48,11 @@ class InputError(Exception):
 
 def _resolve_threads(value) -> int:
     if value is not None:
-        return max(1, int(value))
+        return value
     env = os.environ.get("RVOLEST_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError as exc:
             raise InputError(f"RVOLEST_THREADS is not an integer: {env!r}") from exc
     return 1
@@ -261,14 +261,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _given_flags(args, dests) -> str:
+    return ", ".join(_flag(dest) for dest in dests if getattr(args, dest) is not None)
+
+
 def _estimation_inputs(args):
-    """(path, model, model_name) from --path/--model or --preset."""
+    """(path, model, model_name) from --path/--model or a scenario; the flags
+    of the other source exit 2 instead of being ignored."""
     if args.path:
+        given = _given_flags(args, ["preset", "config", "seed", *_PRESET_FLAGS])
+        if given:
+            raise InputError(f"{given} cannot be combined with --path")
         if not args.model:
             raise InputError("--path requires --model")
         model = make_builtin(args.model)
         path = read_path_csv(args.path, T=args.T)
         return path, model, args.model
+    given = _given_flags(args, ["model", "T"])
+    if given:
+        raise InputError(f"{given} can only be combined with --path; "
+                         "a scenario sets its own model and horizon")
     scenario = _load_scenario(args)
     bundle = simulate(scenario)
     model = make_builtin(scenario.model.name)

@@ -86,10 +86,11 @@ class ModelSpec:
     returning the shapes of s_values / ds_values; when absent they are
     synthesized from the pointwise maps.
 
-    For a SELF_RESPONSE model, `simulate`'s Euler loop calls the pointwise S
-    once per fine step with a float y and a float tuple theta, so S should be
-    plain float arithmetic there: numpy calls on scalars cost several times
-    the arithmetic itself.
+    sigma(y, theta) is the optional diffusion coefficient of a d = 1
+    SELF_RESPONSE model, with sigma**2 == S.  `simulate`'s Euler loop calls it
+    once per fine step with a float y and a float tuple theta, and stores only
+    the observed values; it is the one map a simulated self-response family
+    needs beyond S and dS.
     """
 
     name: str
@@ -102,6 +103,7 @@ class ModelSpec:
     covariate_source: CovariateSource = CovariateSource.EXTERNAL
     s_path: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     ds_path: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    sigma: Optional[Callable[[float, tuple], float]] = None
 
     def s_values(self, x_block: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """S along a covariate block; (n,) for d=1, else (n, d, d)."""
@@ -156,13 +158,15 @@ def _rational_diffusion(box: ParameterBox | None) -> ModelSpec:
         den = 1.0 + y2
         return 1.0 / den, y2 / den  # d sigma / d theta_1, d sigma / d theta_2
 
-    def S(x, theta):
+    def sigma(y, theta):
         # The Euler loop calls this once per fine step with a float y: plain
         # float arithmetic, in the operation order of s_path.
-        y = x if isinstance(x, float) else float(x[0])
         y2 = y * y
         den = 1.0 + y2
-        return (theta[0] * (1.0 / den) + theta[1] * (y2 / den)) ** 2
+        return theta[0] * (1.0 / den) + theta[1] * (y2 / den)
+
+    def S(x, theta):
+        return sigma(float(x[0]), theta) ** 2
 
     def dS(x, theta):
         y = float(np.atleast_1d(x)[0])
@@ -184,7 +188,7 @@ def _rational_diffusion(box: ParameterBox | None) -> ModelSpec:
     return ModelSpec(
         name="rational-diffusion", d=1, p=2, cov_dim=1, S=S, dS=dS,
         box=box, covariate_source=CovariateSource.SELF_RESPONSE,
-        s_path=s_path, ds_path=ds_path,
+        s_path=s_path, ds_path=ds_path, sigma=sigma,
     )
 
 

@@ -46,6 +46,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.threads < 1:
+            raise ValueError(f"need at least one thread, got {self.threads}")
         _check_alpha(self.alpha)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
@@ -190,13 +192,15 @@ def _blas_pinned_to_one_thread():
 
 def run_plan(plan: ExperimentPlan) -> SummaryTable:
     """Execute the plan; deterministic for a given (scenario seed, plan).
+    It starts min(threads, replications) workers, and none when that is 1.
     While a pooled plan runs, BLAS in the calling process is single-threaded."""
     theta0 = plan.scenario.model.theta0_array()
     jobs = [(plan.scenario, plan.estimators, plan.alpha, rep)
             for rep in range(plan.replications)]
-    if plan.threads > 1:
+    workers = min(plan.threads, plan.replications)
+    if workers > 1:
         with _blas_pinned_to_one_thread(), ProcessPoolExecutor(
-                max_workers=plan.threads, initializer=_single_thread_blas) as pool:
+                max_workers=workers, initializer=_single_thread_blas) as pool:
             records = list(pool.map(_run_replication, jobs, chunksize=1))
     else:
         records = [_run_replication(job) for job in jobs]

@@ -1,13 +1,13 @@
 """Path generation: Euler-Maruyama diffusion plus compound-Poisson jumps and
 Bernoulli spike noise.
 
-A scenario is simulated on a refined grid of n*substeps Euler steps and then
-subsampled at the n+1 observation times.  Jumps arrive by a Poisson process
-with the configured per-unit-time intensity; each jump lands on the first
-refined gridpoint at or after its event time.  Spikes perturb individual
-observations: Y_{t_j} = Y*_{t_j} + p_j C_j with p_j ~ Bernoulli(prob) and
-C_j ~ N(0, sigma2), independently over j = 0..n (a spike therefore touches
-the two increments adjacent to t_j).
+A scenario is simulated on a refined grid of n*substeps Euler steps, of which
+only the values at the n+1 observation times are kept.  Jumps arrive by a
+Poisson process with the configured per-unit-time intensity; each jump lands
+on the first refined gridpoint at or after its event time.  Spikes perturb
+individual observations: Y_{t_j} = Y*_{t_j} + p_j C_j with p_j ~
+Bernoulli(prob) and C_j ~ N(0, sigma2), independently over j = 0..n (a spike
+therefore touches the two increments adjacent to t_j).
 
 Randomness comes from three independent, replication-addressable streams
 (Brownian / Jumps / Spikes) derived from counter-based Philox generators, so
@@ -19,14 +19,16 @@ without spikes and ``simulate(replace(sc, jump=None, spike=None))`` the clean on
 The model's ``covariate_source``, which the estimator reads x_{j-1} by, also
 sets the design: an EXTERNAL model gets the trig covariate of `trig_covariates`
 and zero drift (one vectorized pass); a SELF_RESPONSE model runs an Euler loop
-with S at the current response and optional drift mu(y) = y.
+with optional drift mu(y) = y.  The loop calls the model's pointwise sigma once
+per fine step, with the current response as a float y and theta as a float
+tuple, and stores only the observed values.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -189,19 +191,22 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         x_fine = trig_covariates(np.arange(m) * fine_h)
         sigma = np.sqrt(model.s_values(x_fine, theta0))
         diffusion = scenario.y0 + np.concatenate([[0.0], np.cumsum(sigma * dw)])
-        y_fine = diffusion + np.concatenate([[0.0], np.cumsum(jump_deltas)])
+        y_obs = (diffusion + np.concatenate([[0.0], np.cumsum(jump_deltas)]))[::sub]
     else:
         # Python floats through memoryviews: numpy scalars would cost several
         # times the arithmetic, and lists of m floats would raise peak memory.
-        y_fine = np.empty(m + 1)
-        out = memoryview(y_fine)
+        # Only the value at each observation time is stored.
+        y_obs = np.empty(n + 1)
+        out = memoryview(y_obs)
         out[0] = y = float(scenario.y0)
-        s_point, theta = model.S, tuple(theta0.tolist())
+        sigma, theta = model.sigma, tuple(theta0.tolist())
         drift_on = scenario.model.drift is DriftKind.RESPONSE
-        for i, (w, jd) in enumerate(zip(memoryview(dw), memoryview(jump_deltas)), 1):
-            mu = y if drift_on else 0.0
-            y = y + mu * fine_h + math.sqrt(s_point(y, theta)) * w + jd
-            out[i] = y
+        steps = zip(memoryview(dw), memoryview(jump_deltas))
+        for j in range(1, n + 1):
+            for w, jd in islice(steps, sub):
+                mu = y if drift_on else 0.0
+                y = y + mu * fine_h + sigma(y, theta) * w + jd
+            out[j] = y
 
     # spike contamination at observation times (drawn for all j to keep the
     # stream layout independent of the Bernoulli outcomes)
@@ -214,7 +219,7 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         spikes = np.zeros(n + 1)
         spike_indices = np.empty(0, dtype=int)
 
-    observed_y = y_fine[::sub] + spikes
+    observed_y = y_obs + spikes
     covariates = trig_covariates(obs_times) if external else observed_y
     observed = ObservationPath(n=n, T=T, times=obs_times, covariates=covariates,
                                responses=observed_y)

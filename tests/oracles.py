@@ -4,18 +4,31 @@ Quadrature lives here (adaptive for d=1, tensor Gauss-Legendre on [-12,12]^2
 for d=2) so the shipped closed forms are always checked against a separate
 computation path; the three Gaussian moment identities, written in terms of
 the library's k_const, are checked against it.  A per-increment slogdet/inv
-loop checks the batched Cholesky kernel, and a finite-difference Hessian of
-the analytic gradient checks the plug-in curvature matrices.
+loop checks the batched Cholesky kernel, a finite-difference Hessian of the
+analytic gradient checks the plug-in curvature matrices, and a full-grid
+Euler loop checks the simulator's self-response loop.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 
-from rvolest import CholeskyFailure, Variant, k_const, value_and_grad
+from rvolest import (
+    CholeskyFailure,
+    DriftKind,
+    Lane,
+    Variant,
+    k_const,
+    make_builtin,
+    rng_stream,
+    value_and_grad,
+)
 from rvolest.likelihood import covariate_block, scaled_increments
 from rvolest.mathcore import LOG_2PI, chol_spd
+from rvolest.simulator import _jump_deltas
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(240)
 _LIM = 12.0
@@ -207,3 +220,26 @@ def objective_reference(path, model, theta, config):
     taper = np.exp(-0.5 * lam / (lam + 1.0) * log_det)
     grad = 0.5 * (taper * w)[:, None] * (u - t / (lam + 1.0))
     return np.sum(taper * w) / lam, np.sum(grad, axis=0)
+
+
+def euler_reference(scenario, replication=0) -> np.ndarray:
+    """Observed responses of a spike-free self-response scenario from the
+    full-grid Euler loop: sqrt of the pointwise S at every fine step, all
+    n * substeps + 1 fine values stored, then every substeps-th one taken."""
+    assert scenario.spike is None
+    m = scenario.n * scenario.substeps
+    fine_h = scenario.T / m
+    dw = rng_stream(scenario.seed, replication, Lane.BROWNIAN).normal(
+        0.0, np.sqrt(fine_h), size=m)
+    jump_deltas, _ = _jump_deltas(
+        scenario, rng_stream(scenario.seed, replication, Lane.JUMPS), m)
+    model = make_builtin(scenario.model.name)
+    theta = tuple(scenario.model.theta0_array().tolist())
+    drift_on = scenario.model.drift is DriftKind.RESPONSE
+    y_fine = np.empty(m + 1)
+    y_fine[0] = y = float(scenario.y0)
+    for i, (w, jd) in enumerate(zip(dw.tolist(), jump_deltas.tolist()), 1):
+        mu = y if drift_on else 0.0
+        y = y + mu * fine_h + math.sqrt(model.S((y,), theta)) * w + jd
+        y_fine[i] = y
+    return y_fine[::scenario.substeps]

@@ -264,6 +264,18 @@ class TestMonteCarloCommand:
         assert run(["montecarlo", "--preset", "sec6-1-clean", "--n", "100",
                     "--reps", "2", "--variant", "nope", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), ([], "-3")],
+                             ids=["flag-zero", "env-negative"])
+    def test_thread_count_below_one_exits_2(self, flag, env, tmp_path, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("RVOLEST_THREADS", env)
+        out = tmp_path / "mc"
+        assert run(["montecarlo", "--preset", "sec6-1-clean", "--n", "100", "--reps", "2",
+                    "--variant", "gqlf", *flag, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "thread" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweepLambdaCommand:
     def test_rows(self, tmp_path):
@@ -327,6 +339,37 @@ def test_bad_argument_exits_2_with_one_line(argv, tmp_path, capsys):
     assert run([*argv, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+PATH_CSV = "j,t,Y_1\n0,0.0,0.0\n1,0.5,0.1\n2,1.0,0.3\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "cluster"])
+@pytest.mark.parametrize("flag, value", [
+    ("--preset", "nope"), ("--config", "scenario.json"), ("--seed", "99"), ("--n", "7"),
+    ("--spike-prob", "0.3"), ("--spike-sigma2", "2"), ("--jump-factor", "0.3"),
+])
+def test_scenario_flag_beside_path_exits_2(command, flag, value, tmp_path, capsys):
+    # the file is the data: a scenario flag next to it would be ignored
+    path = tmp_path / "x.csv"
+    path.write_text(PATH_CSV)
+    out = tmp_path / "o"
+    assert run([command, "--path", path, "--model", "const-levy", flag, value,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} cannot be combined with --path")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "cluster"])
+@pytest.mark.parametrize("flag, value", [("--model", "rational-diffusion"), ("--T", "7")])
+def test_path_flag_without_path_exits_2(command, flag, value, tmp_path, capsys):
+    # a scenario sets its own model and horizon
+    out = tmp_path / "o"
+    assert run([command, *SPIKE, flag, value, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} can only be combined with --path")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_import_does_not_load_scipy_stats():

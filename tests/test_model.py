@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvolest import (
     BUILTIN_NAMES,
@@ -100,6 +103,16 @@ class TestBuiltins:
             theta = np.array(corner)
             assert np.all(m.s_values(xs, theta) > 0.0), corner
             assert all(m.S(x, theta) > 0.0 for x in xs), corner
+
+    @given(theta1=st.floats(0.01, 10.0), theta2=st.floats(0.01, 10.0),
+           y=st.floats(-1e6, 1e6))
+    @settings(max_examples=500, deadline=None)
+    def test_rational_sigma_is_exact_sqrt_of_s(self, theta1, theta2, y):
+        # the Euler loop steps with sigma where it took sqrt(S): on the box,
+        # sqrt(RN(s * s)) == s in binary64, so the paths keep their bits
+        m = make_builtin("rational-diffusion")
+        theta = (theta1, theta2)
+        assert math.sqrt(m.S(np.array([y]), theta)) == m.sigma(y, theta)
 
     def test_rational_sigma_between_thetas(self):
         m = make_builtin("rational-diffusion")

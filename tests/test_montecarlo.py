@@ -80,6 +80,37 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             small_plan(replications=0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_validated(self, threads):
+        with pytest.raises(ValueError, match="thread"):
+            small_plan(threads=threads)
+
+    @pytest.mark.parametrize("threads, replications, workers", [
+        (2, 1, None), (4, 2, 2), (2, 3, 2), (1, 3, None),
+    ])
+    def test_pool_only_where_it_can_pay(self, monkeypatch, threads, replications, workers):
+        # min(threads, replications) workers, and no pool at all for one
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                assert max_workers > 1, "a one-worker pool only adds its start-up cost"
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(montecarlo_mod, "ProcessPoolExecutor", RecordingPool)
+        table = run_plan(small_plan(replications=replications, threads=threads))
+        assert built == ([] if workers is None else [workers])
+        assert table.raw_theta.shape[0] == replications
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     def test_alpha_validated(self, alpha):
         with pytest.raises(ValueError, match="alpha"):

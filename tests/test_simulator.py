@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import euler_reference
+
 import rvolest.simulator as simulator
 from rvolest import (
     BUILTIN_NAMES,
@@ -182,7 +184,7 @@ class TestSimulate:
         # and the default-refinement mean sits on the published clean-data row
         assert np.abs(means[0] - np.array([-2.0013, 2.9981, 0.0015])).max() < 0.01
 
-    def test_self_response_calls_pointwise_s_once_per_fine_step(self, monkeypatch):
+    def test_self_response_calls_sigma_once_per_fine_step(self, monkeypatch):
         sc = get_preset("sec6-5-jumpdiff", n=200, seed=1)
         calls = []
         real_make_builtin = simulator.make_builtin
@@ -190,15 +192,35 @@ class TestSimulate:
         def counting_make_builtin(name, box=None):
             model = real_make_builtin(name, box)
 
-            def counting_s(x, theta):
-                calls.append(x)
-                return model.S(x, theta)
+            def counting_sigma(y, theta):
+                calls.append((y, theta))
+                return model.sigma(y, theta)
 
-            return replace(model, S=counting_s)
+            return replace(model, sigma=counting_sigma)
 
         monkeypatch.setattr(simulator, "make_builtin", counting_make_builtin)
         simulate(sc)
         assert len(calls) == sc.n * sc.substeps
+        assert all(type(y) is float and type(theta) is tuple for y, theta in calls)
+
+    @pytest.mark.parametrize("substeps", [1, 10])
+    @pytest.mark.parametrize("y0", [0.0, 0.7])
+    @pytest.mark.parametrize("jumps", [False, True], ids=["no-jumps", "jumps"])
+    @pytest.mark.parametrize("drift", [DriftKind.ZERO, DriftKind.RESPONSE],
+                             ids=["zero", "response"])
+    def test_self_response_loop_matches_full_grid_reference(self, drift, jumps, y0,
+                                                            substeps):
+        # the loop that stores only the observed values, with sigma in place
+        # of sqrt(S), keeps every bit of the full-grid loop
+        base = get_preset("sec6-5-jumpdiff", n=200)
+        sc = replace(base, model=replace(base.model, drift=drift), y0=y0,
+                     substeps=substeps,
+                     jump=replace(base.jump, intensity=10.0) if jumps else None)
+        for seed in (1, 2, 3):
+            for rep in (0, 1):
+                seeded = replace(sc, seed=seed)
+                got = simulate(seeded, replication=rep).observed.responses[:, 0]
+                assert got.tobytes() == euler_reference(seeded, rep).tobytes()
 
     def test_jumpdiff_paths_keep_their_bits(self):
         # sha256 of the paths that the numpy-scalar Euler loop produced: the
