@@ -2,9 +2,10 @@
 
 Every command is deterministic for a fixed --seed: raw CSV outputs are
 byte-identical across runs and worker counts.  Exit codes: 0 success,
-1 estimator failure, 2 input error.  RVOLEST_THREADS is the fallback for
---threads.
-"""
+1 estimator failure, 2 input error (a bad value, an unreadable file, an --out
+that cannot be written, or a flag that cannot apply beside another), reported
+on one `error:` line.  Cross-flag rules are checks on the parsed flags, not
+argparse groups.  RVOLEST_THREADS is the fallback for --threads."""
 
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .montecarlo import (
     write_lambda_sweep_csv,
     write_raw_theta_csv,
     write_raw_u_csv,
+    write_rows,
     write_summary_csv,
 )
 from .simulator import (
@@ -42,10 +44,6 @@ from .simulator import (
 )
 
 
-class InputError(Exception):
-    """User-input problem; maps to exit code 2."""
-
-
 def _resolve_threads(value) -> int:
     if value is not None:
         return value
@@ -54,7 +52,7 @@ def _resolve_threads(value) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise InputError(f"RVOLEST_THREADS is not an integer: {env!r}") from exc
+            raise ValueError(f"RVOLEST_THREADS is not an integer: {env!r}") from exc
     return 1
 
 
@@ -62,7 +60,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
 
 
 # Preset-only flags: argparse dest -> (get_preset keyword, the Scenario field
@@ -79,27 +77,24 @@ def _flag(dest: str) -> str:
 def _load_scenario(args) -> Scenario:
     given = {dest: getattr(args, dest) for dest in _PRESET_FLAGS
              if getattr(args, dest) is not None}
-    if getattr(args, "config", None):
+    if args.config:
+        if args.preset is not None:
+            raise ValueError("--preset cannot be combined with --config")
         if given:
-            raise InputError(f"{_flag(next(iter(given)))} applies to presets only; "
+            raise ValueError(f"{_flag(next(iter(given)))} applies to presets only; "
                              f"set it in the config file {args.config}")
-        try:
-            with open(args.config) as fh:
+        with open(args.config) as fh:
+            try:
                 data = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"config {args.config} is not valid JSON "
-                f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
-            ) from exc
-        try:
-            scenario = scenario_from_dict(data)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    elif getattr(args, "preset", None):
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"config {args.config} is not valid JSON "
+                    f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
+                ) from exc
+        scenario = scenario_from_dict(data)
+    elif args.preset:
         if args.preset not in PRESET_NAMES:
-            raise InputError(
+            raise ValueError(
                 f"unknown preset {args.preset!r}; available: {', '.join(PRESET_NAMES)}"
             )
         scenario = get_preset(args.preset,
@@ -107,10 +102,10 @@ def _load_scenario(args) -> Scenario:
         for dest in given:
             field = _PRESET_FLAGS[dest][1]
             if field is not None and getattr(scenario, field) is None:
-                raise InputError(f"{_flag(dest)} does not apply: preset {args.preset!r} "
+                raise ValueError(f"{_flag(dest)} does not apply: preset {args.preset!r} "
                                  f"has no {field} contamination")
     else:
-        raise InputError("provide --preset or --config")
+        raise ValueError("provide --preset or --config")
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     return scenario
@@ -127,16 +122,16 @@ def _make_configs(variants: str, lambdas: str) -> list[RobustConfig]:
         elif name == "holder":
             configs.extend(RobustConfig.hoelder(lam) for lam in lam_values)
         else:
-            raise InputError(f"unknown variant {name!r} (gqlf, dp, holder)")
+            raise ValueError(f"unknown variant {name!r} (gqlf, dp, holder)")
     if not configs:
-        raise InputError("no estimator configured")
+        raise ValueError("no estimator configured")
     return configs
 
 
 def _single_config(args) -> RobustConfig:
     configs = _make_configs(args.variant, args.lam)
     if len(configs) != 1:
-        raise InputError(
+        raise ValueError(
             f"--variant {args.variant!r} with --lambda {args.lam!r} gives "
             f"{len(configs)} estimators; this command fits exactly one"
         )
@@ -150,52 +145,44 @@ def write_path_csv(path: ObservationPath, filename: str) -> None:
         + [f"X_{i+1}" for i in range(cov_dim)]
         + [f"Y_{i+1}" for i in range(path.d)]
     )
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(path.n + 1):
-            row = [str(j), format_cell(path.times[j])]
-            if cov_dim:
-                row += [format_cell(v) for v in path.covariates[j]]
-            row += [format_cell(v) for v in path.responses[j]]
-            writer.writerow(row)
+    write_rows(filename, header, (
+        [j, path.times[j], *(path.covariates[j] if cov_dim else ()), *path.responses[j]]
+        for j in range(path.n + 1)
+    ))
 
 
 def read_path_csv(filename: str, T: float | None = None) -> ObservationPath:
-    """Parse a path.csv; raises InputError with line/field diagnostics."""
-    try:
-        with open(filename, newline="") as fh:
-            reader = csv.reader(fh)
+    """Parse a path.csv; raises ValueError with line/field diagnostics."""
+    with open(filename, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{filename}: empty file") from None
+        x_cols = [i for i, name in enumerate(header) if name.startswith("X_")]
+        y_cols = [i for i, name in enumerate(header) if name.startswith("Y_")]
+        if "t" not in header or not y_cols:
+            raise ValueError(f"{filename}: header must contain 't' and 'Y_*' columns")
+        t_col = header.index("t")
+        times, xs, ys = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{filename}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
             try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(f"{filename}: empty file") from None
-            x_cols = [i for i, name in enumerate(header) if name.startswith("X_")]
-            y_cols = [i for i, name in enumerate(header) if name.startswith("Y_")]
-            if "t" not in header or not y_cols:
-                raise InputError(f"{filename}: header must contain 't' and 'Y_*' columns")
-            t_col = header.index("t")
-            times, xs, ys = [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise InputError(
-                        f"{filename}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                try:
-                    values = {i: float(row[i]) for i in [t_col, *x_cols, *y_cols]}
-                except ValueError as exc:
-                    raise InputError(f"{filename}:{lineno}: {exc}") from None
-                for i, v in values.items():
-                    if not math.isfinite(v):
-                        raise InputError(f"{filename}:{lineno}: {header[i]} is {row[i]!r}, "
-                                         "not a finite number")
-                times.append(values[t_col])
-                xs.append([values[i] for i in x_cols])
-                ys.append([values[i] for i in y_cols])
-    except OSError as exc:
-        raise InputError(f"cannot read {filename}: {exc}") from exc
+                values = {i: float(row[i]) for i in [t_col, *x_cols, *y_cols]}
+            except ValueError as exc:
+                raise ValueError(f"{filename}:{lineno}: {exc}") from None
+            for i, v in values.items():
+                if not math.isfinite(v):
+                    raise ValueError(f"{filename}:{lineno}: {header[i]} is {row[i]!r}, "
+                                     "not a finite number")
+            times.append(values[t_col])
+            xs.append([values[i] for i in x_cols])
+            ys.append([values[i] for i in y_cols])
     if len(times) < 2:
-        raise InputError(f"{filename}: need at least two observations")
+        raise ValueError(f"{filename}: need at least two observations")
     n = len(times) - 1
     horizon = T if T is not None else times[-1]
     try:
@@ -207,17 +194,13 @@ def read_path_csv(filename: str, T: float | None = None) -> ObservationPath:
             responses=np.asarray(ys),
         )
     except ValueError as exc:
-        raise InputError(f"{filename}: {exc}") from exc
+        raise ValueError(f"{filename}: {exc}") from exc
 
 
 def write_truth_csv(bundle, filename: str) -> None:
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "value"])
-        for t in bundle.jump_times:
-            writer.writerow(["jump_time", format_cell(t)])
-        for j in bundle.spike_indices:
-            writer.writerow(["spike_index", str(int(j))])
+    write_rows(filename, ["kind", "value"],
+               [*(["jump_time", t] for t in bundle.jump_times),
+                *(["spike_index", int(j)] for j in bundle.spike_indices)])
 
 
 def _result_to_dict(res, model_name: str, n: int, T: float) -> dict:
@@ -271,15 +254,15 @@ def _estimation_inputs(args):
     if args.path:
         given = _given_flags(args, ["preset", "config", "seed", *_PRESET_FLAGS])
         if given:
-            raise InputError(f"{given} cannot be combined with --path")
+            raise ValueError(f"{given} cannot be combined with --path")
         if not args.model:
-            raise InputError("--path requires --model")
+            raise ValueError("--path requires --model")
         model = make_builtin(args.model)
         path = read_path_csv(args.path, T=args.T)
         return path, model, args.model
     given = _given_flags(args, ["model", "T"])
     if given:
-        raise InputError(f"{given} can only be combined with --path; "
+        raise ValueError(f"{given} can only be combined with --path; "
                          "a scenario sets its own model and horizon")
     scenario = _load_scenario(args)
     bundle = simulate(scenario)
@@ -311,44 +294,30 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _build_plan(args, configs) -> ExperimentPlan:
-    scenario = _load_scenario(args)
-    return ExperimentPlan(
-        scenario=scenario,
+def cmd_montecarlo(args) -> int:
+    """montecarlo and sweep-lambda: run one plan and write the command's tables."""
+    if args.command == "sweep-lambda" and args.variant not in ("dp", "holder"):
+        raise ValueError("sweep-lambda supports --variant dp or holder")
+    configs = _make_configs(args.variant, args.lam)
+    plan = ExperimentPlan(
+        scenario=_load_scenario(args),
         estimators=tuple(configs),
         replications=args.reps,
         alpha=args.alpha,
         threads=_resolve_threads(args.threads),
     )
-
-
-def cmd_montecarlo(args) -> int:
-    configs = _make_configs(args.variant, args.lam)
-    plan = _build_plan(args, configs)
     table = run_plan(plan)
     os.makedirs(args.out, exist_ok=True)
-    write_summary_csv(table, os.path.join(args.out, "summary.csv"))
-    write_raw_theta_csv(table, os.path.join(args.out, "raw_theta.csv"))
-    write_raw_u_csv(table, os.path.join(args.out, "raw_u.csv"))
+    for name, write in args.tables.items():
+        write(table, os.path.join(args.out, name))
     print(f"ran {plan.replications} replications x {len(configs)} estimators; "
-          f"wrote summary.csv, raw_theta.csv, raw_u.csv in {args.out}")
-    return 0
-
-
-def cmd_sweep_lambda(args) -> int:
-    if args.variant not in ("dp", "holder"):
-        raise InputError("sweep-lambda supports --variant dp or holder")
-    configs = _make_configs(args.variant, args.lam)
-    plan = _build_plan(args, configs)
-    table = run_plan(plan)
-    os.makedirs(args.out, exist_ok=True)
-    write_lambda_sweep_csv(table, os.path.join(args.out, "lambda_sweep.csv"))
-    write_summary_csv(table, os.path.join(args.out, "summary.csv"))
-    print(f"wrote lambda_sweep.csv ({len(configs)} lambdas) in {args.out}")
+          f"wrote {', '.join(args.tables)} in {args.out}")
     return 0
 
 
 def cmd_cluster(args) -> int:
+    if args.k is not None and args.k_range is not None:
+        raise ValueError("--k-range cannot be combined with --k")
     path, model, _ = _estimation_inputs(args)
     config = _single_config(args)
     res = estimate(path, model, config)
@@ -358,55 +327,45 @@ def cmd_cluster(args) -> int:
         chosen_k = args.k
         sweep = None
     else:
-        lo, _, hi = args.k_range.partition(":")
+        k_range = "2:10" if args.k_range is None else args.k_range
+        lo, _, hi = k_range.partition(":")
         try:
-            k_range = range(int(lo), int(hi) + 1)
+            ks = range(int(lo), int(hi) + 1)
         except ValueError as exc:
-            raise InputError(f"--k-range expects LO:HI, got {args.k_range!r}") from exc
-        sweep = suggest_k(eps_hat, k_range, seed=args.kmeans_seed)
+            raise ValueError(f"--k-range expects LO:HI, got {k_range!r}") from exc
+        sweep = suggest_k(eps_hat, ks, seed=args.kmeans_seed)
         chosen_k = sweep.suggested_k
+        if not sweep.abrupt_found:
+            print(f"no abrupt change in |D| over K={k_range}; "
+                  f"fell back to the top of the range, K={chosen_k}")
 
     part = kmeans(eps_hat, chosen_k, seed=args.kmeans_seed)
-    mode = MergeMode(args.merge)
-    part = merge_consecutive(part, mode)
+    part = merge_consecutive(part, MergeMode(args.merge))
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "clusters.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "t_j", "eps_hat", "label", "in_D"])
-        in_d = part.in_d
-        for j in range(path.n):
-            writer.writerow([
-                str(j + 1), format_cell(path.times[j + 1]), format_cell(eps_hat[j]),
-                str(int(part.labels[j])), str(int(in_d[j])),
-            ])
+    write_rows(os.path.join(args.out, "clusters.csv"), ["j", "t_j", "eps_hat", "label", "in_D"],
+               ([j + 1, path.times[j + 1], eps_hat[j], int(part.labels[j]), int(part.in_d[j])]
+                for j in range(path.n)))
     if sweep is not None:
-        with open(os.path.join(args.out, "k_sweep.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["K", "size_D", "log_size_D"])
-            for k, size in zip(sweep.ks, sweep.d_sizes):
-                writer.writerow([str(k), str(size), format_cell(np.log(max(size, 1)))])
+        write_rows(os.path.join(args.out, "k_sweep.csv"), ["K", "size_D", "log_size_D"],
+                   ([k, size, np.log(max(size, 1))] for k, size in zip(sweep.ks, sweep.d_sizes)))
     flagged = int(part.in_d.sum())
     print(f"K={chosen_k}: flagged {flagged} of {path.n} increments; "
           f"wrote clusters.csv in {args.out}")
     return 0
 
 
-def _add_scenario_flags(sub):
-    sub.add_argument("--preset", help=f"one of: {', '.join(PRESET_NAMES)}")
-    sub.add_argument("--config", help="scenario JSON file")
-    sub.add_argument("--n", type=int, default=None, help="observations (presets; default 5000)")
-    sub.add_argument("--spike-prob", type=float, default=None,
-                     help="spike probability for spike presets (default 0.01)")
-    sub.add_argument("--spike-sigma2", type=float, default=None,
-                     help="spike variance for spike presets (default 1.0)")
-    sub.add_argument("--jump-factor", type=float, default=None,
-                     help="jump intensity as a fraction of n for jump presets (default 0.01)")
-
-
-def _add_estimator_flags(sub):
-    sub.add_argument("--variant", default="dp", help="gqlf | dp | holder")
-    sub.add_argument("--lambda", dest="lam", default="0.5", help="tapering parameter")
+# help, --variant and --lambda defaults, and tables written (name -> writer)
+_PLAN_COMMANDS = {
+    "montecarlo": ("replicate simulate+estimate, emit summary tables",
+                   "gqlf,dp,holder", "0.1,0.5,0.9",
+                   {"summary.csv": write_summary_csv, "raw_theta.csv": write_raw_theta_csv,
+                    "raw_u.csv": write_raw_u_csv}),
+    "sweep-lambda": ("mean/sd of a robust estimator across a lambda grid",
+                     "dp", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+                     {"lambda_sweep.csv": write_lambda_sweep_csv,
+                      "summary.csv": write_summary_csv}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,6 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="scenario seed override")
     common.add_argument("--out", default="rvolest-out", help="output directory")
+    common.add_argument("--preset", help=f"one of: {', '.join(PRESET_NAMES)}")
+    common.add_argument("--config", help="scenario JSON file")
+    common.add_argument("--n", type=int, default=None,
+                        help="observations (presets; default 5000)")
+    common.add_argument("--spike-prob", type=float, default=None,
+                        help="spike probability for spike presets (default 0.01)")
+    common.add_argument("--spike-sigma2", type=float, default=None,
+                        help="spike variance for spike presets (default 1.0)")
+    common.add_argument("--jump-factor", type=float, default=None,
+                        help="jump intensity as a fraction of n for jump presets (default 0.01)")
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--path", help="path.csv produced by `rvolest simulate`")
+    fit.add_argument("--model", help="model name when using --path")
+    fit.add_argument("--T", type=float, default=None, help="horizon override for --path")
+    fit.add_argument("--variant", default="dp", help="gqlf | dp | holder")
+    fit.add_argument("--lambda", dest="lam", default="0.5", help="tapering parameter")
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument("--threads", type=int, default=None,
                       help="worker processes (fallback: RVOLEST_THREADS, then 1)")
@@ -425,16 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="generate a contaminated path")
-    _add_scenario_flags(p_sim)
     p_sim.set_defaults(handler=cmd_simulate)
 
-    p_est = sub.add_parser("estimate", parents=[common],
+    p_est = sub.add_parser("estimate", parents=[common, fit],
                            help="fit one estimator on a path")
-    _add_scenario_flags(p_est)
-    p_est.add_argument("--path", help="path.csv produced by `rvolest simulate`")
-    p_est.add_argument("--model", help="model name when using --path")
-    p_est.add_argument("--T", type=float, default=None, help="horizon override for --path")
-    _add_estimator_flags(p_est)
     p_est.add_argument("--alpha", type=float, default=0.05)
     p_est.add_argument("--init", help="comma list: optimizer start")
     p_est.add_argument("--true-theta", help="comma list: adds standardized statistics")
@@ -442,34 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--tol", type=float, default=1e-8)
     p_est.set_defaults(handler=cmd_estimate)
 
-    p_mc = sub.add_parser("montecarlo", parents=[common, pool],
-                          help="replicate simulate+estimate, emit summary tables")
-    _add_scenario_flags(p_mc)
-    p_mc.add_argument("--reps", type=int, default=200)
-    p_mc.add_argument("--variant", default="gqlf,dp,holder")
-    p_mc.add_argument("--lambda", dest="lam", default="0.1,0.5,0.9")
-    p_mc.add_argument("--alpha", type=float, default=0.05)
-    p_mc.set_defaults(handler=cmd_montecarlo)
+    for name, (help_text, variant, lam, tables) in _PLAN_COMMANDS.items():
+        p_plan = sub.add_parser(name, parents=[common, pool], help=help_text)
+        p_plan.add_argument("--reps", type=int, default=200)
+        p_plan.add_argument("--variant", default=variant)
+        p_plan.add_argument("--lambda", dest="lam", default=lam)
+        p_plan.add_argument("--alpha", type=float, default=0.05)
+        p_plan.set_defaults(handler=cmd_montecarlo, tables=tables)
 
-    p_sw = sub.add_parser("sweep-lambda", parents=[common, pool],
-                          help="mean/sd of a robust estimator across a lambda grid")
-    _add_scenario_flags(p_sw)
-    p_sw.add_argument("--reps", type=int, default=200)
-    p_sw.add_argument("--variant", default="dp")
-    p_sw.add_argument("--lambda", dest="lam",
-                      default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    p_sw.add_argument("--alpha", type=float, default=0.05)
-    p_sw.set_defaults(handler=cmd_sweep_lambda)
-
-    p_cl = sub.add_parser("cluster", parents=[common],
+    p_cl = sub.add_parser("cluster", parents=[common, fit],
                           help="K-means residual classification of increments")
-    _add_scenario_flags(p_cl)
-    p_cl.add_argument("--path", help="path.csv to cluster")
-    p_cl.add_argument("--model", help="model name when using --path")
-    p_cl.add_argument("--T", type=float, default=None)
-    _add_estimator_flags(p_cl)
     p_cl.add_argument("--k", type=int, default=None, help="fixed cluster count")
-    p_cl.add_argument("--k-range", default="2:10", help="scan range LO:HI for suggest-K")
+    p_cl.add_argument("--k-range", default=None,
+                      help="scan range LO:HI for suggest-K (default 2:10)")
     p_cl.add_argument("--kmeans-seed", type=int, default=0)
     p_cl.add_argument("--merge", default="off", choices=["spike-pair", "off"])
     p_cl.set_defaults(handler=cmd_cluster)
@@ -481,7 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, ValueError) as exc:  # the library rejects bad arguments
+    except (ValueError, OSError) as exc:  # bad input, or an unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RvolestError as exc:

@@ -228,7 +228,8 @@ def format_cell(x) -> str:
     return str(x)
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
+def write_rows(path: str, header: list[str], rows) -> None:
+    """A CSV file: the header, then each row with every cell through format_cell."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -248,8 +249,8 @@ def write_summary_csv(table: SummaryTable, path: str) -> None:
                 float(mean[e, i]), float(sd[e, i]), float(cov[e, i]),
                 int(fails[e]), float(mtime[e]),
             ])
-    _write_rows(path, ["estimator", "lambda", "coord", "mean", "sd",
-                       "coverage", "failures", "mean_time_s"], rows)
+    write_rows(path, ["estimator", "lambda", "coord", "mean", "sd",
+                      "coverage", "failures", "mean_time_s"], rows)
 
 
 def _write_raw_csv(table: SummaryTable, raw: np.ndarray, prefix: str, path: str) -> None:
@@ -259,7 +260,7 @@ def _write_raw_csv(table: SummaryTable, raw: np.ndarray, prefix: str, path: str)
     for rep in range(raw.shape[0]):
         for e, (variant, lam) in enumerate(table.labels):
             rows.append([rep, variant, float(lam)] + [float(v) for v in raw[rep, e]])
-    _write_rows(path, header, rows)
+    write_rows(path, header, rows)
 
 
 def write_raw_theta_csv(table: SummaryTable, path: str) -> None:
@@ -278,4 +279,4 @@ def write_lambda_sweep_csv(table: SummaryTable, path: str) -> None:
             continue
         for i in range(table.p):
             rows.append([float(lam), i + 1, float(mean[e, i]), float(sd[e, i])])
-    _write_rows(path, ["lambda", "coord", "mean", "sd"], rows)
+    write_rows(path, ["lambda", "coord", "mean", "sd"], rows)

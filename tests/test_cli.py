@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -137,6 +138,37 @@ class TestSimulateCommand:
         cfg_file = tmp_path / "scenario.json"
         cfg_file.write_text("{not json")
         assert run(["simulate", "--config", cfg_file, "--out", tmp_path]) == 2
+
+    def test_preset_beside_config_exits_2(self, tmp_path, capsys):
+        # the config would win and the preset be ignored
+        assert run(["simulate", "--preset", "sec6-1-clean", "--n", "50",
+                    "--out", tmp_path / "a"]) == 0
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", tmp_path / "a" / "scenario.json",
+                    "--preset", "sec6-1-spike", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --preset cannot be combined with --config")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_out_that_is_a_file_exits_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["simulate", "--preset", "sec6-1-clean", "--n", "50",
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+
+    def test_spike_preset_files_keep_their_bits(self, tmp_path):
+        # sha256 of path.csv, truth.csv and scenario.json as the hand-written
+        # csv.writer loops wrote them: the shared row writer must keep every byte
+        out = tmp_path / "o"
+        assert run(["simulate", "--preset", "sec6-1-spike", "--n", "500",
+                    "--seed", "7", "--out", out]) == 0
+        digest = hashlib.sha256()
+        for name in ("path.csv", "truth.csv", "scenario.json"):
+            digest.update((out / name).read_bytes())
+        assert digest.hexdigest() == (
+            "1a9764aefd1cbb99d9dce9373bec15be839c9b302258716bda8a65c633478384")
 
 
 class TestEstimateCommand:
@@ -316,6 +348,25 @@ class TestClusterCommand:
         assert run(["cluster", "--preset", "sec6-1-spike", "--n", "100",
                     "--k-range", "abc", "--out", tmp_path]) == 2
 
+    def test_k_beside_k_range_exits_2(self, tmp_path, capsys):
+        # a fixed K would leave the scan range unread
+        out = tmp_path / "cl"
+        assert run(["cluster", "--preset", "sec6-1-spike", "--n", "300", "--seed", "2",
+                    "--k", "3", "--k-range", "abc", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --k-range cannot be combined with --k")
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("preset, seed, abrupt", [
+        ("sec6-1-clean", "3", False), ("sec6-1-spike", "8", True),
+    ])
+    def test_scan_says_when_it_found_no_abrupt_change(self, preset, seed, abrupt,
+                                                       tmp_path, capsys):
+        assert run(["cluster", "--preset", preset, "--n", "400", "--seed", seed,
+                    "--out", tmp_path]) == 0
+        said = "no abrupt change in |D| over K=2:10; fell back to the top of the range, K=10"
+        assert (said in capsys.readouterr().out) is not abrupt
+
 
 SPIKE = ["--preset", "sec6-1-spike", "--n", "200", "--seed", "1"]
 
@@ -359,6 +410,17 @@ def test_scenario_flag_beside_path_exits_2(command, flag, value, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} cannot be combined with --path")
     assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "missing.json"],
+    ["estimate", "--path", "missing.csv", "--model", "const-levy"],
+], ids=["config", "path"])
+def test_unreadable_input_exits_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing." in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["estimate", "cluster"])
