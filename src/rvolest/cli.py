@@ -19,7 +19,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .clustering import MergeMode, kmeans, merge_consecutive, residuals, suggest_k
+from .clustering import (
+    MergeMode, _check_k_range, kmeans, merge_consecutive, residuals, suggest_k,
+)
 from .estimator import OptimizerOptions, estimate
 from .exceptions import RvolestError
 from .likelihood import ObservationPath, RobustConfig
@@ -318,6 +320,13 @@ def cmd_montecarlo(args) -> int:
 def cmd_cluster(args) -> int:
     if args.k is not None and args.k_range is not None:
         raise ValueError("--k-range cannot be combined with --k")
+    k_range = "2:10" if args.k_range is None else args.k_range
+    lo, _, hi = k_range.partition(":")
+    try:
+        ks = range(int(lo), int(hi) + 1)
+    except ValueError as exc:
+        raise ValueError(f"--k-range expects LO:HI, got {k_range!r}") from exc
+    _check_k_range(ks)
     path, model, _ = _estimation_inputs(args)
     config = _single_config(args)
     res = estimate(path, model, config)
@@ -327,12 +336,6 @@ def cmd_cluster(args) -> int:
         chosen_k = args.k
         sweep = None
     else:
-        k_range = "2:10" if args.k_range is None else args.k_range
-        lo, _, hi = k_range.partition(":")
-        try:
-            ks = range(int(lo), int(hi) + 1)
-        except ValueError as exc:
-            raise ValueError(f"--k-range expects LO:HI, got {k_range!r}") from exc
         sweep = suggest_k(eps_hat, ks, seed=args.kmeans_seed)
         chosen_k = sweep.suggested_k
         if not sweep.abrupt_found:

@@ -153,6 +153,16 @@ class KSweepResult:
     abrupt_found: bool
 
 
+def _check_k_range(k_range) -> list[int]:
+    """The K values of a scan, sorted; ValueError unless there is one and all are >= 2."""
+    ks = sorted(int(k) for k in k_range)
+    if not ks:
+        raise ValueError("k_range is empty")
+    if ks[0] < 2:
+        raise ValueError("k_range must contain integers >= 2")
+    return ks
+
+
 def suggest_k(
     values,
     k_range=range(2, 11),
@@ -168,9 +178,7 @@ def suggest_k(
     outlier range, then jumps by a factor above ~10 at the K where a cluster
     first splits off the diffusive bulk.
     """
-    ks = sorted(int(k) for k in k_range)
-    if not ks or ks[0] < 2:
-        raise ValueError("k_range must contain integers >= 2")
+    ks = _check_k_range(k_range)
     sizes = []
     for k in ks:
         part = kmeans(values, k, seed=seed)

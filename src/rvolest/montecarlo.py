@@ -10,6 +10,11 @@ single-threaded BLAS: a worker would otherwise inherit or start OpenBLAS's
 thread count, which is sized for the whole machine, so `threads` workers would
 oversubscribe the cores and run slower than one process.
 
+A process keeps one pool.  The first pooled plan starts it, and every later
+plan with the same worker count reuses it, so only the first pays for the
+fork.  Its idle workers keep their memory until the process exits, when
+`concurrent.futures` shuts the pool down.
+
 Failed replications (factorization or singular-curvature errors) are excluded
 from the moment columns and counted; non-converged fits keep their estimate
 but are excluded from coverage.
@@ -20,11 +25,14 @@ from __future__ import annotations
 import csv
 import ctypes
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -190,18 +198,93 @@ def _blas_pinned_to_one_thread():
             set_threads(count)
 
 
+# The pool that pooled plans share, as (worker count, executor, the finalizer
+# that shuts it down), or None before the first pooled plan.
+_pool = None
+_pool_lock = threading.RLock()
+
+
+def _forget_inherited_pool() -> None:
+    """In a forked child: the parent's pool is not the child's to use or shut
+    down, because its manager thread did not survive the fork."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_forget_inherited_pool)
+
+
+def _close_pool() -> None:
+    """Shut the shared pool down, waiting for its jobs, and forget it."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool[2]()
+            _pool = None
+
+
+def _cached_pool(workers: int) -> ProcessPoolExecutor | None:
+    with _pool_lock:
+        if _pool is not None and _pool[0] == workers:
+            return _pool[1]
+    return None
+
+
+def _start_pool(workers: int) -> ProcessPoolExecutor:
+    """A new shared pool in place of the old one.  Its workers fork at the
+    first submit, so that submit belongs under `_blas_pinned_to_one_thread`."""
+    global _pool
+    with _pool_lock:
+        _close_pool()
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_single_thread_blas)
+        # A multiprocessing child joins its children at exit before the exit
+        # hook of concurrent.futures runs, so the pool must be shut down
+        # first; priority 20 runs before the queues stop their feeder threads
+        # (priority 10), which the shutdown still needs.
+        _pool = (workers, pool, Finalize(pool, pool.shutdown, exitpriority=20))
+        return pool
+
+
+def _collect(results) -> list:
+    try:
+        return list(results)
+    except BrokenProcessPool:
+        _close_pool()
+        raise
+
+
+def _run_pooled(workers: int, jobs: list) -> list:
+    pool = _cached_pool(workers)
+    if pool is not None:
+        try:
+            results = pool.map(_run_replication, jobs, chunksize=1)
+        except BrokenProcessPool:
+            # map submits every job before it returns, so the pool broke
+            # before this plan (a worker died while idle): start a new one
+            pass
+        else:
+            return _collect(results)
+    # The plan that starts the pool runs under the pin as a whole: restoring
+    # the caller's BLAS thread count restarts OpenBLAS's threads, which spin
+    # for a while and would take CPU from the new workers.
+    with _blas_pinned_to_one_thread():
+        return _collect(_start_pool(workers).map(_run_replication, jobs, chunksize=1))
+
+
 def run_plan(plan: ExperimentPlan) -> SummaryTable:
     """Execute the plan; deterministic for a given (scenario seed, plan).
-    It starts min(threads, replications) workers, and none when that is 1.
-    While a pooled plan runs, BLAS in the calling process is single-threaded."""
+    It runs on min(threads, replications) workers, and serially when that
+    is 1.  The process's pool is started by its first pooled plan and reused
+    by every later one with the same worker count; a plan with another count
+    replaces it.  While a plan that starts the pool runs, BLAS in the calling
+    process is single-threaded."""
     theta0 = plan.scenario.model.theta0_array()
     jobs = [(plan.scenario, plan.estimators, plan.alpha, rep)
             for rep in range(plan.replications)]
     workers = min(plan.threads, plan.replications)
     if workers > 1:
-        with _blas_pinned_to_one_thread(), ProcessPoolExecutor(
-                max_workers=workers, initializer=_single_thread_blas) as pool:
-            records = list(pool.map(_run_replication, jobs, chunksize=1))
+        records = _run_pooled(workers, jobs)
     else:
         records = [_run_replication(job) for job in jobs]
 

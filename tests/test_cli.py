@@ -10,6 +10,7 @@ import pytest
 from oracles import objective
 
 from rvolest import RobustConfig, make_builtin
+import rvolest.cli as cli_mod
 from rvolest.cli import main, read_path_csv
 
 
@@ -356,6 +357,22 @@ class TestClusterCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --k-range cannot be combined with --k")
         assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("k_range, said", [
+        ("5:3", "error: k_range is empty"),
+        ("1:4", "error: k_range must contain integers >= 2"),
+    ])
+    def test_unusable_k_range_exits_2_before_the_fit(self, k_range, said, tmp_path,
+                                                     capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran before the K range was checked")
+
+        monkeypatch.setattr(cli_mod, "estimate", no_fit)
+        out = tmp_path / "cl"
+        assert run(["cluster", "--preset", "sec6-1-spike", "--n", "200",
+                    "--k-range", k_range, "--out", out]) == 2
+        assert capsys.readouterr().err == said + "\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("preset, seed, abrupt", [
         ("sec6-1-clean", "3", False), ("sec6-1-spike", "8", True),

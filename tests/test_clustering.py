@@ -179,6 +179,12 @@ class TestSuggestK:
         with pytest.raises(ValueError):
             suggest_k(rng.random(10), [1, 2])
 
+    def test_empty_range_has_its_own_message(self, rng):
+        with pytest.raises(ValueError, match="^k_range is empty$"):
+            suggest_k(rng.random(10), range(5, 4))
+        with pytest.raises(ValueError, match="^k_range must contain integers >= 2$"):
+            suggest_k(rng.random(10), [1, 2])
+
     def test_spike_data_suggestion_plausible(self):
         sc = get_preset("sec6-1-spike", n=5000, seed=12)
         bundle = simulate(sc)

@@ -1,6 +1,10 @@
 import csv
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -33,6 +37,14 @@ def small_plan(replications=4, threads=1, estimators=None, preset="sec6-1-spike"
         replications=replications,
         threads=threads,
     )
+
+
+@pytest.fixture
+def fresh_pool():
+    """No shared pool before the test, and none left after it."""
+    montecarlo_mod._close_pool()
+    yield
+    montecarlo_mod._close_pool()
 
 
 class TestRunPlan:
@@ -88,7 +100,8 @@ class TestRunPlan:
     @pytest.mark.parametrize("threads, replications, workers", [
         (2, 1, None), (4, 2, 2), (2, 3, 2), (1, 3, None),
     ])
-    def test_pool_only_where_it_can_pay(self, monkeypatch, threads, replications, workers):
+    def test_pool_only_where_it_can_pay(self, monkeypatch, fresh_pool,
+                                        threads, replications, workers):
         # min(threads, replications) workers, and no pool at all for one
         built = []
 
@@ -97,14 +110,11 @@ class TestRunPlan:
                 assert max_workers > 1, "a one-worker pool only adds its start-up cost"
                 built.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, jobs, chunksize):
                 return map(fn, jobs)
+
+            def shutdown(self, wait=True):
+                pass
 
         monkeypatch.setattr(montecarlo_mod, "ProcessPoolExecutor", RecordingPool)
         table = run_plan(small_plan(replications=replications, threads=threads))
@@ -196,6 +206,99 @@ def test_workers_forked_under_the_pin_start_no_blas_threads(openblas):
         counts, os_threads = pool.submit(_blas_state).result(timeout=120)
     assert set(counts) == {1} and os_threads == 1
     assert [get_threads() for _, get_threads in openblas] == before
+
+
+@pytest.fixture
+def built_pools(monkeypatch, fresh_pool):
+    """The worker count of every real pool that run_plan starts."""
+    built = []
+
+    class RecordingExecutor(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(montecarlo_mod, "ProcessPoolExecutor", RecordingExecutor)
+    return built
+
+
+def _raw_bytes(table):
+    return table.raw_theta.tobytes(), table.raw_u.tobytes()
+
+
+def _pooled_raw_bytes_into(queue):
+    queue.put(_raw_bytes(run_plan(small_plan(threads=2))))
+
+
+class TestSharedPool:
+    def test_one_pool_per_worker_count(self, built_pools):
+        run_plan(small_plan(threads=2))
+        run_plan(small_plan(threads=2))
+        assert built_pools == [2]
+        run_plan(small_plan(threads=3))
+        assert built_pools == [2, 3]
+        run_plan(small_plan(replications=1, threads=2))
+        assert built_pools == [2, 3]
+
+    def test_plans_sharing_a_pool_match_serial_runs(self, built_pools):
+        plan_b = dict(preset="sec6-1-clean", estimators=(RobustConfig.hoelder(0.5),))
+        expected = [_raw_bytes(run_plan(small_plan(threads=1))),
+                    _raw_bytes(run_plan(small_plan(threads=1, **plan_b)))]
+        got = [_raw_bytes(run_plan(small_plan(threads=2))),
+               _raw_bytes(run_plan(small_plan(threads=2, **plan_b))),
+               _raw_bytes(run_plan(small_plan(threads=2)))]
+        assert got == [expected[0], expected[1], expected[0]]
+        assert built_pools == [2]
+
+    def test_forked_child_starts_its_own_pool(self, fresh_pool):
+        # the child inherits the parent's pool but not its manager thread;
+        # using that pool would hang, and so would exiting with its own
+        expected = _raw_bytes(run_plan(small_plan(threads=2)))
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_pooled_raw_bytes_into, args=(queue,))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=60)
+            if child.is_alive():
+                # a hung child's own workers would outlive it
+                with open(f"/proc/{child.pid}/task/{child.pid}/children") as fh:
+                    workers = [int(pid) for pid in fh.read().split()]
+                child.kill()
+                for pid in workers:
+                    os.kill(pid, signal.SIGKILL)
+                child.join(timeout=10)
+        assert child.exitcode == 0
+        assert got == expected
+
+    def test_dead_idle_worker_is_replaced(self, fresh_pool):
+        expected = _raw_bytes(run_plan(small_plan(threads=1)))
+        run_plan(small_plan(threads=2))
+        victim = multiprocessing.active_children()[0].pid
+        os.kill(victim, signal.SIGKILL)
+        # the pool reaps its workers only after it has marked itself broken
+        deadline = time.monotonic() + 60
+        while os.path.exists(f"/proc/{victim}") and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not os.path.exists(f"/proc/{victim}")
+        assert _raw_bytes(run_plan(small_plan(threads=2))) == expected
+
+    def test_no_worker_outlives_its_process(self):
+        code = ("import multiprocessing\n"
+                "from rvolest import ExperimentPlan, RobustConfig, get_preset, run_plan\n"
+                "run_plan(ExperimentPlan(get_preset('sec6-1-spike', n=150, seed=42),\n"
+                "                        (RobustConfig.gqlf(),), replications=2, threads=2))\n"
+                "print(*(p.pid for p in multiprocessing.active_children()))\n")
+        src = os.path.dirname(os.path.dirname(montecarlo_mod.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []
 
 
 def test_estimator_label():
