@@ -8,6 +8,9 @@ size and the largest becomes the non-jump part C, the union of the others the
 flagged part D.  Because one spike perturbs two consecutive increments, an optional
 pair rule reassigns the second index of each flagged consecutive pair back
 to C so every spike is counted once.
+
+`residuals` reads S (d = 1) or z = L^{-1} eps (d >= 2) from likelihood's
+per-increment record, produced without dS.
 """
 
 from __future__ import annotations
@@ -18,28 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInput
-from .likelihood import (
-    ObservationPath,
-    _check_positive,
-    covariate_block,
-    scaled_increments,
-)
-from .mathcore import chol_spd
+from .likelihood import ObservationPath, _increments
 from .model import ModelSpec
+
+# Unused here; the benchmark's span list wraps them until ROADMAP item 9 retires them.
+from .likelihood import covariate_block, scaled_increments  # noqa: F401
+from .mathcore import chol_spd  # noqa: F401
 
 
 def residuals(path: ObservationPath, model: ModelSpec, theta_hat) -> np.ndarray:
     """|S_{j-1}(theta_hat)^{-1/2} eps_j| for j = 1..n (Euclidean norm for d > 1)."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    x_block = covariate_block(path, model)
-    eps = scaled_increments(path)
+    inc = _increments(path, model, theta_hat, whiten_only=True)
     if model.d == 1:
-        s = np.asarray(model.s_values(x_block, theta_hat), dtype=float)
-        _check_positive(s)
-        return np.abs(eps[:, 0]) / np.sqrt(s)
-    s_all = model.s_values(x_block, theta_hat).reshape(path.n, model.d, model.d)
-    z = np.linalg.solve(chol_spd(s_all), eps[:, :, None])[:, :, 0]
-    return np.linalg.norm(z, axis=1)
+        return np.abs(inc.eps) / np.sqrt(inc.s)
+    return np.linalg.norm(inc.z, axis=1)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ Plug-in asymptotic matrices replace (1/T) integral g(X_t, theta_0) dt by
            Sigma_kl  = K_2lam/(2lam+1) * avg dd^{-lam/(lam+1)}    v_kl / 2
                        + eps''(lam)    * avg dd^{-lam/(lam+1)}    t_k t_l
 
-with t_k = tr(S^{-1} d_k S) and v_kl = tr(S^{-1} d_k S S^{-1} d_l S).  Both
-Gamma and Sigma tend to the Fisher matrix as lam -> 0.  The sandwich
-avar = Gamma^{-1} Sigma Gamma^{-1} feeds the normal confidence intervals
-theta_hat_i +/- z_{1-alpha/2} sqrt(avar_ii / n).
+with t_k = tr(S^{-1} d_k S) and v_kl = tr(S^{-1} d_k S S^{-1} d_l S), read
+from likelihood's per-increment record: v_kl = tr(A_k A_l) from its whitened
+derivatives, or t_k t_l for d = 1.  Both Gamma and Sigma tend to the Fisher
+matrix as lam -> 0.  The sandwich avar = Gamma^{-1} Sigma Gamma^{-1} feeds
+the normal confidence intervals theta_hat_i +/- z_{1-alpha/2} sqrt(avar_ii / n).
 """
 
 from __future__ import annotations
@@ -34,16 +35,13 @@ import scipy.optimize
 from scipy.special import ndtri
 
 from .exceptions import SingularGamma
-from .likelihood import (
-    ObservationPath,
-    RobustConfig,
-    Variant,
-    _check_positive,
-    covariate_block,
-    value_and_grad,
-)
-from .mathcore import chol_spd, eps_dprime, eps_prime, k_const, whitened_derivatives
+from .likelihood import ObservationPath, RobustConfig, Variant, _increments, value_and_grad
+from .mathcore import eps_dprime, eps_prime, k_const
 from .model import ModelSpec
+
+# Unused here; the benchmark's span list wraps them until ROADMAP item 9 retires them.
+from .likelihood import covariate_block  # noqa: F401
+from .mathcore import chol_spd  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,49 +82,31 @@ def check_taper_schedule(n: int, lam: float, kappa: float = 1.0, T: float = 1.0)
     return float(np.sqrt(n) * (T / n) ** kappa / lam)
 
 
-def _trace_stats(path: ObservationPath, model: ModelSpec, theta: np.ndarray):
-    """Per-increment log det, t vector and v matrix at (x_{j-1}, theta).
-
-    Returns (log_det (n,), t (n, p), v (n, p, p)); for d = 1, v = t (x) t.
-    """
-    x_block = covariate_block(path, model)
-    n, d, p = path.n, model.d, model.p
-    if d == 1:
-        s = np.asarray(model.s_values(x_block, theta), dtype=float)
-        _check_positive(s)
-        t = model.ds_values(x_block, theta) / s[:, None]
-        v = t[:, :, None] * t[:, None, :]
-        return np.log(s), t, v
-    lower = chol_spd(model.s_values(x_block, theta).reshape(n, d, d))
-    a = whitened_derivatives(lower, model.ds_values(x_block, theta).reshape(n, p, d, d))
-    log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
-    t = np.trace(a, axis1=2, axis2=3)
-    flat = a.reshape(n, p, d * d)
-    v = flat @ flat.transpose(0, 2, 1)  # tr(A_k A_l), A_l symmetric
-    return log_det, t, v
-
-
 def plugin_matrices(path, model, theta_hat, config: RobustConfig):
     """(gamma_hat, sigma_hat, fisher_hat) at theta_hat for the given variant.
 
     For the plain GQLF both Gamma and Sigma coincide with the Fisher matrix
     (the lam -> 0 limit of either robust family).
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    log_det, t, v = _trace_stats(path, model, theta_hat)
-    n = path.n
-    outer_t = t[:, :, None] * t[:, None, :]
+    inc = _increments(path, model, theta_hat)
+    n, d, p = path.n, model.d, model.p
+    outer_t = inc.t[:, :, None] * inc.t[:, None, :]
+    if d == 1:
+        v = outer_t
+    else:
+        flat = inc.a.reshape(n, p, d * d)
+        v = flat @ flat.transpose(0, 2, 1)  # tr(A_k A_l), A_l symmetric
     fisher = 0.5 * v.mean(axis=0)
 
     if config.variant is Variant.GQLF:
         return fisher.copy(), fisher.copy(), fisher
 
-    lam, d = config.lam, model.d
+    lam = config.lam
     k1 = k_const(lam, d)
     k2 = k_const(2.0 * lam, d)
     if config.variant is Variant.DENSITY_POWER:
-        w_gamma = np.exp(-0.5 * lam * log_det)
-        w_sigma = np.exp(-lam * log_det)
+        w_gamma = np.exp(-0.5 * lam * inc.log_det)
+        w_sigma = np.exp(-lam * inc.log_det)
         gamma = (k1 / (lam + 1.0)) * 0.5 * np.einsum(
             "j,jkl->kl", w_gamma, v + 0.5 * lam**2 * outer_t
         ) / n
@@ -135,8 +115,8 @@ def plugin_matrices(path, model, theta_hat, config: RobustConfig):
             + 0.25 * eps_prime(lam, d) * np.einsum("j,jkl->kl", w_sigma, outer_t) / n
         )
     else:
-        w_gamma = np.exp(-0.5 * lam / (lam + 1.0) * log_det)
-        w_sigma = np.exp(-lam / (lam + 1.0) * log_det)
+        w_gamma = np.exp(-0.5 * lam / (lam + 1.0) * inc.log_det)
+        w_sigma = np.exp(-lam / (lam + 1.0) * inc.log_det)
         gamma = (k1 / (lam + 1.0)) * 0.5 * np.einsum("j,jkl->kl", w_gamma, v) / n
         sigma = (
             (k2 / (2.0 * lam + 1.0)) * 0.5 * np.einsum("j,jkl->kl", w_sigma, v) / n

@@ -18,17 +18,26 @@ the weight to 0, which is the correct limit.
 objective and its analytic theta-gradient together, from one evaluation of
 S and dS.  All functions are pure; per-increment terms are reduced with
 np.sum (fixed pairwise topology), so results are bit-stable for a given input.
+
+One private producer, `_increments`, evaluates S(x_{j-1}, theta) and dS
+along the path, checks or factors S = L L' and rejects a path that does not
+fit the model's dimensions.  Its per-increment record holds log det S_j,
+eps_j' S_j^{-1} eps_j and t_jk = tr(S_j^{-1} d_k S_j); for d = 1 also S_j, for
+d >= 2 also z_j = L_j^{-1} eps_j and A_jk = L_j^{-1} d_k S_j L_j^{-T}, with
+t_jk = tr A_jk.  The objective, `estimator.plugin_matrices` and
+`clustering.residuals` read it; residuals ask only for the whitening, without dS.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import CholeskyFailure
-from .mathcore import LOG_2PI, chol_spd, k_const, whitened_derivatives
+from .mathcore import LOG_2PI, chol_spd, k_const
 from .model import CovariateSource, ModelSpec
 
 # Upper end of the admissible tapering range (0, LAMBDA_BAR].
@@ -128,25 +137,63 @@ def covariate_block(path: ObservationPath, model: ModelSpec) -> np.ndarray:
         return path.responses[:-1]
     if path.covariates is None:
         raise ValueError("model expects external covariates but path has none")
+    if path.covariates.shape[1] < model.cov_dim:
+        raise ValueError(f"model {model.name!r} reads {model.cov_dim} covariate columns, "
+                         f"path has {path.covariates.shape[1]}")
     return path.covariates[:-1]
 
 
-def _check_positive(s: np.ndarray) -> None:
-    bad = ~(np.isfinite(s) & (s > 0.0))
-    if np.any(bad):
-        raise CholeskyFailure(index=int(np.argmax(bad)) + 1)
+class _Increments(NamedTuple):
+    """Per-increment statistics at one theta; ``whiten_only`` sets eps, s, z only."""
+
+    eps: np.ndarray                     # (n,) for d = 1, else (n, d)
+    s: np.ndarray | None = None         # d = 1: (n,) S_j
+    z: np.ndarray | None = None         # d >= 2: (n, d) L_j^{-1} eps_j
+    log_det: np.ndarray | None = None   # (n,) log det S_j
+    quad: np.ndarray | None = None      # (n,) eps_j' S_j^{-1} eps_j
+    t: np.ndarray | None = None         # (n, p) tr(S_j^{-1} d_k S_j)
+    a: np.ndarray | None = None         # d >= 2: (n, p, d, d) A_jk
 
 
-def _eval_d1(path, model, theta, config):
-    """Vectorized d = 1 evaluation; returns (value, grad)."""
+def _increments(path, model, theta, whiten_only: bool = False) -> _Increments:
+    """The one evaluation of S and, unless ``whiten_only``, dS along the path.
+
+    Raises ValueError when the path does not fit the model's dimensions, and
+    CholeskyFailure with the 1-based index of the first S_j that is not SPD
+    (for d = 1: not finite and positive), before dS is evaluated.
+    """
+    if path.d != model.d:
+        raise ValueError(f"path has {path.d} response columns, "
+                         f"model {model.name!r} has d = {model.d}")
     theta = np.asarray(theta, dtype=float)
     x_block = covariate_block(path, model)
-    eps = scaled_increments(path)[:, 0]
-    s = np.asarray(model.s_values(x_block, theta), dtype=float)
-    _check_positive(s)
-    q = eps * eps / s
-    log_s = np.log(s)
-    t = model.ds_values(x_block, theta) / s[:, None]
+    eps = scaled_increments(path)
+    n, d, p = path.n, model.d, model.p
+    if d == 1:
+        eps = eps[:, 0]
+        s = np.asarray(model.s_values(x_block, theta), dtype=float)
+        bad = ~(np.isfinite(s) & (s > 0.0))
+        if np.any(bad):
+            raise CholeskyFailure(index=int(np.argmax(bad)) + 1)
+        if whiten_only:
+            return _Increments(eps, s=s)
+        t = model.ds_values(x_block, theta) / s[:, None]
+        return _Increments(eps, s=s, log_det=np.log(s), quad=eps * eps / s, t=t)
+    lower = chol_spd(model.s_values(x_block, theta).reshape(n, d, d))
+    z = np.linalg.solve(lower, eps[:, :, None])[:, :, 0]
+    if whiten_only:
+        return _Increments(eps, z=z)
+    log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+    ds = model.ds_values(x_block, theta).reshape(n, p, d, d)
+    half = np.linalg.solve(lower[:, None], ds)
+    a = np.linalg.solve(lower[:, None], np.swapaxes(half, -1, -2))
+    return _Increments(eps, z=z, log_det=log_det, quad=np.einsum("ja,ja->j", z, z),
+                       t=np.trace(a, axis1=2, axis2=3), a=a)
+
+
+def _objective_d1(inc: _Increments, config: RobustConfig):
+    """Closed-form d = 1 objective and gradient; returns (value, grad)."""
+    q, log_s, t = inc.quad, inc.log_det, inc.t
 
     if config.variant is Variant.GQLF:
         return -0.5 * float(np.sum(log_s + q)), -0.5 * ((1.0 - q) @ t)
@@ -165,24 +212,10 @@ def _eval_d1(path, model, theta, config):
     return value, 0.5 * ((det_taper * w * (q - 1.0 / (lam + 1.0))) @ t)
 
 
-def _eval_general(path, model, theta, config):
-    """Batched d >= 1 matrix path; reference implementation for the d=1 fast path.
-
-    Per increment, with S = L L', z = L^{-1} eps and A_k = L^{-1} d_k S L^{-T}:
-    eps' S^{-1} eps = |z|^2, t_k = tr(S^{-1} d_k S) = tr A_k and
-    eps' S^{-1} d_k S S^{-1} eps = z' A_k z.
-    """
-    theta = np.asarray(theta, dtype=float)
-    x_block = covariate_block(path, model)
-    eps = scaled_increments(path)
-    n, d, p = path.n, model.d, model.p
-    lower = chol_spd(model.s_values(x_block, theta).reshape(n, d, d))
-    log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
-    z = np.linalg.solve(lower, eps[:, :, None])[:, :, 0]
-    quad = np.einsum("ja,ja->j", z, z)
-    a = whitened_derivatives(lower, model.ds_values(x_block, theta).reshape(n, p, d, d))
-    t = np.trace(a, axis1=2, axis2=3)
-    q = np.einsum("ja,jkab,jb->jk", z, a, z)
+def _objective_matrix(inc: _Increments, d: int, config: RobustConfig):
+    """Batched d >= 2 (value, grad), with eps' S^{-1} d_k S S^{-1} eps = z' A_k z."""
+    log_det, quad, t = inc.log_det, inc.quad, inc.t
+    q = np.einsum("ja,jkab,jb->jk", inc.z, inc.a, inc.z)
 
     lam = config.lam
     if config.variant is Variant.GQLF:
@@ -208,6 +241,7 @@ def value_and_grad(path, model, theta, config) -> tuple[float, np.ndarray]:
     The one public objective function: the estimator maximizes it, and every
     variant and dimension goes through it.
     """
+    inc = _increments(path, model, theta)
     if model.d == 1:
-        return _eval_d1(path, model, theta, config)
-    return _eval_general(path, model, theta, config)
+        return _objective_d1(inc, config)
+    return _objective_matrix(inc, model.d, config)

@@ -73,16 +73,6 @@ def _first_unfactorable(stack: np.ndarray) -> int:
     return good
 
 
-def whitened_derivatives(lower: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """A_k = L^{-1} dS_k L^{-T} for factors (n, d, d) and symmetric derivatives (n, p, d, d).
-
-    tr A_k = tr(S^{-1} d_k S) and tr(A_k A_l) = tr(S^{-1} d_k S S^{-1} d_l S).
-    """
-    lower = lower[:, None]
-    half = np.linalg.solve(lower, ds)  # L^{-1} dS_k
-    return np.linalg.solve(lower, np.swapaxes(half, -1, -2))
-
-
 def k_const(lam: float, d: int) -> float:
     """The normal-power normalization (2 pi)^(-d lam/2) / (lam+1)^(1+d/2).
 

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import objective
 
-from rvolest import RobustConfig, make_builtin
+from rvolest import ObservationPath, RobustConfig, make_builtin
 import rvolest.cli as cli_mod
 from rvolest.cli import main, read_path_csv
 
@@ -458,3 +458,30 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["estimate", "cluster"])
+@pytest.mark.parametrize("model, x_cols, y_cols, said", [
+    ("exp-linear-3", 3, 2, "path has 2 response columns, model 'exp-linear-3' has d = 1"),
+    ("const-levy", 3, 2, "path has 2 response columns, model 'const-levy' has d = 1"),
+    ("rational-diffusion", 3, 2,
+     "path has 2 response columns, model 'rational-diffusion' has d = 1"),
+    ("exp-linear-3", 1, 1, "model 'exp-linear-3' reads 3 covariate columns, path has 1"),
+], ids=["two-responses", "two-responses-const", "two-responses-self", "one-covariate"])
+def test_path_that_does_not_fit_the_model_exits_2(command, model, x_cols, y_cols, said,
+                                                    tmp_path, capsys):
+    # a second response column used to be ignored, and the fit reported converged
+    n = 200
+    times = np.arange(n + 1) / n
+    rng = np.random.default_rng(3)
+    file = tmp_path / "path.csv"
+    cli_mod.write_path_csv(ObservationPath(
+        n=n, T=1.0, times=times,
+        covariates=np.cos(np.outer(times, np.arange(1, x_cols + 1))),
+        responses=np.cumsum(rng.normal(0.0, np.sqrt(1.0 / n), (n + 1, y_cols)), axis=0),
+    ), file)
+    out = tmp_path / "o"
+    k = ["--k", "3"] if command == "cluster" else []
+    assert run([command, "--path", file, "--model", model, *k, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {said}\n"
+    assert not out.exists()

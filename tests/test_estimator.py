@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import make_exp_linear_path
@@ -21,6 +23,7 @@ from rvolest import (
     k_const,
     make_builtin,
     plugin_matrices,
+    residuals,
     scaled_increments,
     simulate,
     value_and_grad,
@@ -303,3 +306,38 @@ class TestCleanDataConsistency:
         np.testing.assert_allclose(res.theta_hat, [-2.0, 3.0, 0.0], atol=0.15)
         value, _ = value_and_grad(path, model, res.theta_hat, RobustConfig.gqlf())
         assert value == res.objective_value
+
+
+def _golden_path(kind):
+    if kind == "external":
+        path = simulate(get_preset("sec6-1-spike", n=400, seed=3)).observed
+        return path, make_builtin("exp-linear-3"), np.array([-1.5, 2.5, 0.3])
+    if kind == "self-response":
+        path = simulate(get_preset("sec6-5-jumpdiff", n=400, seed=3)).observed
+        return path, make_builtin("rational-diffusion"), np.array([1.5, 2.5])
+    from test_multidim import coupled_model, random_path
+    rng = np.random.default_rng(7)
+    path = random_path(rng, 200, 2, rng.uniform(-1.0, 1.0, (201, 1)))
+    return path, coupled_model(2), np.array([0.2, -0.3])
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("external", "40db0c2e4023937631f86f4bf68fa2a38351c65121285709261d03167fa6b721"),
+    ("self-response", "d20a3bcdfd8fb1f60c6c3d35135aa027e75c5ea7c8b94f63caa1da5cb17435d3"),
+    ("d2", "c6d2de6150ae9df3e2cf998d486be92e458ad68bc00d0c9b2b849f8d7e016c3b"),
+])
+def test_estimation_layer_keeps_its_bits(kind, expected):
+    # sha256 of the objective at a fixed theta, of every fit output and of the
+    # residuals, for gqlf, dp and holder: a refactor of the per-increment
+    # statistics must reproduce every bit
+    path, model, theta = _golden_path(kind)
+    digest = hashlib.sha256()
+    for config in (RobustConfig.gqlf(), RobustConfig.density_power(0.5),
+                   RobustConfig.hoelder(0.5)):
+        value, grad = value_and_grad(path, model, theta, config)
+        res = estimate(path, model, config)
+        for arr in (value, grad, res.theta_hat, res.objective_value, res.gamma_hat,
+                    res.sigma_hat, res.fisher_hat, res.ci,
+                    residuals(path, model, res.theta_hat)):
+            digest.update(np.asarray(arr, dtype=float).tobytes())
+    assert digest.hexdigest() == expected

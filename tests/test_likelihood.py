@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import make_exp_linear_path
@@ -8,15 +10,22 @@ from oracles import hess_objective, objective, objective_reference
 
 from rvolest import (
     CholeskyFailure,
+    DgpModel,
+    ModelSpec,
     ObservationPath,
     RobustConfig,
+    Scenario,
     Variant,
+    estimate,
     k_const,
     make_builtin,
+    plugin_matrices,
+    residuals,
     scaled_increments,
+    simulate,
     value_and_grad,
 )
-from rvolest.likelihood import LAMBDA_BAR, _eval_d1, _eval_general
+from rvolest.likelihood import LAMBDA_BAR
 
 GQLF = RobustConfig.gqlf()
 DP = RobustConfig.density_power
@@ -203,8 +212,8 @@ class TestGradients:
         for config in (GQLF, DP(0.8), HO(0.3)):
             path, model = make_exp_linear_path(rng, n=30)
             theta = rng.uniform(-2, 2, size=3)
-            v1, g1 = _eval_d1(path, model, theta, config)
-            v2, g2 = _eval_general(path, model, theta, config)
+            v1, g1 = value_and_grad(path, model, theta, config)
+            v2, g2 = objective_reference(path, model, theta, config)
             assert v1 == pytest.approx(v2, rel=1e-12)
             np.testing.assert_allclose(g1, g2, rtol=1e-10)
 
@@ -284,6 +293,71 @@ class TestValidationAndErrors:
         )
         with pytest.raises(ValueError):
             objective(path, model, np.zeros(3), GQLF)
+
+    @pytest.mark.parametrize("call", [
+        lambda path, model: value_and_grad(path, model, model.box.initial, DP(0.5)),
+        lambda path, model: plugin_matrices(path, model, model.box.initial, DP(0.5)),
+        lambda path, model: residuals(path, model, model.box.initial),
+    ], ids=["value_and_grad", "plugin_matrices", "residuals"])
+    @pytest.mark.parametrize("name, x_cols, y_cols, said", [
+        ("exp-linear-3", 3, 2, "path has 2 response columns, model 'exp-linear-3' has d = 1"),
+        ("const-levy", 3, 2, "path has 2 response columns, model 'const-levy' has d = 1"),
+        ("rational-diffusion", 0, 2,
+         "path has 2 response columns, model 'rational-diffusion' has d = 1"),
+        ("exp-linear-3", 1, 1, "model 'exp-linear-3' reads 3 covariate columns, path has 1"),
+    ], ids=["two-responses", "two-responses-const", "two-responses-self", "one-covariate"])
+    def test_path_that_does_not_fit_the_model(self, call, name, x_cols, y_cols, said, rng):
+        # a wrong response dimension used to be fitted on the first column
+        n = 20
+        times = np.arange(n + 1) / n
+        path = ObservationPath(
+            n=n, T=1.0, times=times,
+            covariates=np.cos(np.outer(times, np.arange(1, x_cols + 1))) if x_cols else None,
+            responses=np.cumsum(rng.normal(0.0, 0.2, (n + 1, y_cols)), axis=0),
+        )
+        with pytest.raises(ValueError, match=re.escape(said)):
+            call(path, make_builtin(name))
+
+    def test_simulated_const_levy_path_fits(self):
+        # a simulated external path carries the three trig covariates; a
+        # model that reads fewer columns still fits it
+        sc = Scenario(model=DgpModel(name="const-levy", theta0=(0.5,)), n=200, seed=1)
+        path = simulate(sc).observed
+        assert path.covariates.shape[1] == 3
+        res = estimate(path, make_builtin("const-levy"), GQLF)
+        assert res.converged and abs(res.theta_hat[0] - 0.5) < 0.3
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_model_evaluation_per_call(self, d, rng, monkeypatch):
+        # the objective and the plug-in matrices evaluate S and dS once;
+        # residuals evaluate S once and never dS
+        if d == 1:
+            path, model = make_exp_linear_path(rng, n=40)
+        else:
+            from test_multidim import coupled_model, random_path
+            path = random_path(rng, 40, 2, rng.uniform(-1.0, 1.0, (41, 1)))
+            model = coupled_model(2)
+        calls = []
+
+        def counting(name):
+            original = getattr(ModelSpec, name)
+
+            def wrapper(self, *args):
+                calls.append(name)
+                return original(self, *args)
+            return wrapper
+
+        for name in ("s_values", "ds_values"):
+            monkeypatch.setattr(ModelSpec, name, counting(name))
+        theta = model.box.initial
+        for call, want in [
+            (lambda: value_and_grad(path, model, theta, DP(0.5)), ["s_values", "ds_values"]),
+            (lambda: plugin_matrices(path, model, theta, DP(0.5)), ["s_values", "ds_values"]),
+            (lambda: residuals(path, model, theta), ["s_values"]),
+        ]:
+            calls.clear()
+            call()
+            assert calls == want
 
     def test_value_and_grad_consistent(self, rng):
         path, model = make_exp_linear_path(rng, n=25)

@@ -18,7 +18,7 @@ from rvolest import (
     residuals,
     value_and_grad,
 )
-from rvolest.estimator import _trace_stats
+from rvolest.likelihood import _increments
 from rvolest.model import CovariateSource
 
 CONFIGS = [RobustConfig.gqlf(), RobustConfig.density_power(0.6), RobustConfig.hoelder(0.4)]
@@ -183,10 +183,11 @@ def test_batched_kernel_matches_per_increment_reference(d, rng):
         got_value, got_grad = value_and_grad(path, model, theta, config)
         assert_close(got_value, value)
         assert_close(got_grad, grad)
-    got_log_det, got_t, got_v = _trace_stats(path, model, theta)
-    assert_close(got_log_det, log_det)
-    assert_close(got_t, t)
-    assert_close(got_v, v)
+    inc = _increments(path, model, theta)
+    assert_close(inc.log_det, log_det)
+    assert_close(inc.quad, quad)
+    assert_close(inc.t, t)
+    assert_close(np.einsum("jkab,jlba->jkl", inc.a, inc.a), v)
     assert_close(residuals(path, model, theta), np.sqrt(quad))
 
 
