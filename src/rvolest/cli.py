@@ -95,10 +95,6 @@ def _load_scenario(args) -> Scenario:
                 ) from exc
         scenario = scenario_from_dict(data)
     elif args.preset:
-        if args.preset not in PRESET_NAMES:
-            raise ValueError(
-                f"unknown preset {args.preset!r}; available: {', '.join(PRESET_NAMES)}"
-            )
         scenario = get_preset(args.preset,
                               **{_PRESET_FLAGS[dest][0]: v for dest, v in given.items()})
         for dest in given:

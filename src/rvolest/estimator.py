@@ -27,6 +27,7 @@ the normal confidence intervals theta_hat_i +/- z_{1-alpha/2} sqrt(avar_ii / n).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,6 +52,13 @@ class OptimizerOptions:
     initial: Optional[np.ndarray] = None
     tol: float = 1e-8
     max_iters: int = 500
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if isinstance(self.max_iters, bool) or not (
+                isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass

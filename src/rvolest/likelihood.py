@@ -137,7 +137,7 @@ def covariate_block(path: ObservationPath, model: ModelSpec) -> np.ndarray:
         return path.responses[:-1]
     if path.covariates is None:
         raise ValueError("model expects external covariates but path has none")
-    if path.covariates.shape[1] < model.cov_dim:
+    if path.covariates.shape[1] != model.cov_dim:
         raise ValueError(f"model {model.name!r} reads {model.cov_dim} covariate columns, "
                          f"path has {path.covariates.shape[1]}")
     return path.covariates[:-1]

@@ -13,7 +13,8 @@ oversubscribe the cores and run slower than one process.
 A process keeps one pool.  The first pooled plan starts it, and every later
 plan with the same worker count reuses it, so only the first pays for the
 fork.  Its idle workers keep their memory until the process exits, when
-`concurrent.futures` shuts the pool down.
+`concurrent.futures` shuts the pool down; a worker whose process is killed
+exits on its own.
 
 Failed replications (factorization or singular-curvature errors) are excluded
 from the moment columns and counted; non-converged fits keep their estimate
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import multiprocessing.connection
 import os
 import threading
 import time
@@ -183,6 +185,20 @@ def _single_thread_blas() -> None:
             set_threads(1)
 
 
+def _exit_with(sentinel) -> None:
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
+
+
+def _init_worker() -> None:
+    """Pool initializer: one BLAS thread, and a watcher that ends the worker
+    when the process that started the pool dies.  A killed process shuts no
+    pool down, and its idle workers would otherwise wait for jobs forever."""
+    _single_thread_blas()
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=_exit_with, args=(sentinel,), daemon=True).start()
+
+
 @contextmanager
 def _blas_pinned_to_one_thread():
     """Every loaded OpenBLAS at one thread for the body, restored after it:
@@ -237,7 +253,7 @@ def _start_pool(workers: int) -> ProcessPoolExecutor:
     global _pool
     with _pool_lock:
         _close_pool()
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_single_thread_blas)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
         # A multiprocessing child joins its children at exit before the exit
         # hook of concurrent.futures runs, so the pool must be shut down
         # first; priority 20 runs before the queues stop their feeder threads

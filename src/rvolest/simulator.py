@@ -17,17 +17,18 @@ lanes are independent, ``simulate(replace(sc, spike=None))`` is the same draw
 without spikes and ``simulate(replace(sc, jump=None, spike=None))`` the clean one.
 
 The model's ``covariate_source``, which the estimator reads x_{j-1} by, also
-sets the design: an EXTERNAL model gets the trig covariate of `trig_covariates`
-and zero drift (one vectorized pass); a SELF_RESPONSE model runs an Euler loop
-with optional drift mu(y) = y.  The loop calls the model's pointwise sigma once
-per fine step, with the current response as a float y and theta as a float
-tuple, and stores only the observed values.
+sets the design: an EXTERNAL model gets the first ``cov_dim`` columns of
+`trig_covariates` and zero drift (one vectorized pass); a SELF_RESPONSE model
+runs an Euler loop with optional drift mu(y) = y.  The loop calls the model's
+pointwise sigma once per fine step, with the current response as a float y
+and theta as a float tuple, and stores only the observed values.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from typing import Optional
 
@@ -105,9 +106,11 @@ class DgpModel:
 
     def __post_init__(self):
         model = make_builtin(self.name)  # UnknownModel is a ValueError
-        if len(self.theta0) != model.p:
+        if np.ndim(self.theta0) != 1 or len(self.theta0) != model.p:
             raise ValueError(f"model {self.name!r} needs {model.p} theta0 entries, "
-                             f"got {len(self.theta0)}")
+                             f"got {self.theta0!r}")
+        object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
+        object.__setattr__(self, "drift", DriftKind(self.drift))
         if not np.all(np.isfinite(self.theta0_array())):
             raise ValueError("theta0 entries must be finite")
         if model.covariate_source is CovariateSource.EXTERNAL and self.drift is not DriftKind.ZERO:
@@ -129,9 +132,17 @@ class Scenario:
     y0: float = 0.0
 
     def __post_init__(self):
-        if not (self.n >= 1 and self.substeps >= 1
-                and np.isfinite(self.T) and self.T > 0 and np.isfinite(self.y0)):
-            raise ValueError("need n >= 1, substeps >= 1, finite T > 0 and finite y0")
+        for name, least in (("n", 1), ("substeps", 1), ("seed", 0)):
+            value = getattr(self, name)
+            whole = isinstance(value, numbers.Integral) or (
+                isinstance(value, numbers.Real) and float(value).is_integer())
+            if isinstance(value, bool) or not whole or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "y0", float(self.y0))
+        if not (np.isfinite(self.T) and self.T > 0 and np.isfinite(self.y0)):
+            raise ValueError("need finite T > 0 and finite y0")
 
 
 @dataclass(frozen=True)
@@ -174,9 +185,7 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
     fine_h = T / m
     obs_times = np.arange(n + 1) * (T / n)
 
-    rng_w = rng_stream(scenario.seed, replication, Lane.BROWNIAN)
-    rng_j = rng_stream(scenario.seed, replication, Lane.JUMPS)
-    rng_s = rng_stream(scenario.seed, replication, Lane.SPIKES)
+    rng_w, rng_j, rng_s = (rng_stream(scenario.seed, replication, lane) for lane in Lane)
 
     dw = rng_w.normal(0.0, np.sqrt(fine_h), size=m)
     jump_deltas, jump_times = _jump_deltas(scenario, rng_j, m)
@@ -188,7 +197,7 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
     if external:
         # sigma depends only on time: increments are independent, the jump
         # component is purely additive.
-        x_fine = trig_covariates(np.arange(m) * fine_h)
+        x_fine = trig_covariates(np.arange(m) * fine_h)[:, :model.cov_dim]
         sigma = np.sqrt(model.s_values(x_fine, theta0))
         diffusion = scenario.y0 + np.concatenate([[0.0], np.cumsum(sigma * dw)])
         y_obs = (diffusion + np.concatenate([[0.0], np.cumsum(jump_deltas)]))[::sub]
@@ -199,7 +208,7 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         y_obs = np.empty(n + 1)
         out = memoryview(y_obs)
         out[0] = y = float(scenario.y0)
-        sigma, theta = model.sigma, tuple(theta0.tolist())
+        sigma, theta = model.sigma, scenario.model.theta0
         drift_on = scenario.model.drift is DriftKind.RESPONSE
         steps = zip(memoryview(dw), memoryview(jump_deltas))
         for j in range(1, n + 1):
@@ -220,7 +229,7 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         spike_indices = np.empty(0, dtype=int)
 
     observed_y = y_obs + spikes
-    covariates = trig_covariates(obs_times) if external else observed_y
+    covariates = trig_covariates(obs_times)[:, :model.cov_dim] if external else observed_y
     observed = ObservationPath(n=n, T=T, times=obs_times, covariates=covariates,
                                responses=observed_y)
     return PathBundle(observed, jump_times, spike_indices)
@@ -268,31 +277,12 @@ def get_preset(
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip (field names mirror the dataclasses)
+# JSON round-trip: the keys are the dataclass fields
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(s: Scenario) -> dict:
-    out = {
-        "model": {"name": s.model.name, "theta0": list(s.model.theta0),
-                  "drift": s.model.drift.value},
-        "n": s.n,
-        "T": s.T,
-        "substeps": s.substeps,
-        "seed": s.seed,
-        "y0": s.y0,
-        "jump": None,
-        "spike": None,
-    }
-    if s.jump is not None:
-        j = {"intensity": s.jump.intensity, "size_law": s.jump.size_law,
-             "scale": s.jump.scale}
-        if s.jump.size_law == "normal":
-            j.update(mean=s.jump.mean, sigma2=s.jump.sigma2)
-        else:
-            j.update(shape=s.jump.shape, rate=s.jump.rate)
-        out["jump"] = j
-    if s.spike is not None:
-        out["spike"] = {"prob": s.spike.prob, "sigma2": s.spike.sigma2}
+    out = asdict(s)
+    out["model"]["drift"] = s.model.drift.value
     return out
 
 
@@ -305,30 +295,18 @@ def _check_keys(data: dict, record: type, where: str) -> None:
                          f"(accepted: {', '.join(accepted)})")
 
 
+def _record(record: type, where: str, data: dict):
+    _check_keys(data, record, where)
+    return record(**data)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         _check_keys(data, Scenario, "scenario")
-        _check_keys(data["model"], DgpModel, "model")
-        model = DgpModel(
-            name=data["model"]["name"],
-            theta0=tuple(float(v) for v in data["model"]["theta0"]),
-            drift=DriftKind(data["model"].get("drift", "zero")),
-        )
-        jump = None
-        if data.get("jump"):
-            jump = JumpSpec(**data["jump"])
-        spike = None
-        if data.get("spike"):
-            spike = SpikeSpec(**data["spike"])
-        return Scenario(
-            model=model,
-            n=int(data["n"]),
-            T=float(data.get("T", 1.0)),
-            jump=jump,
-            spike=spike,
-            substeps=int(data.get("substeps", 10)),
-            seed=int(data.get("seed", 0)),
-            y0=float(data.get("y0", 0.0)),
-        )
+        jump, spike = data.get("jump"), data.get("spike")
+        return Scenario(**{
+            **data, "model": _record(DgpModel, "model", data["model"]),
+            "jump": None if jump is None else _record(JumpSpec, "jump", jump),
+            "spike": None if spike is None else _record(SpikeSpec, "spike", spike)})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid scenario config: {exc}") from exc

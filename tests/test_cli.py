@@ -82,16 +82,20 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", cfg_file, "--out", out]) == 0
         assert len(read_rows(out / "path.csv")) == 66
 
-    @pytest.mark.parametrize("model", [
-        {"name": "nope", "theta0": [1.0]},
-        {"name": "rational-diffusion", "theta0": [2.0]},
-    ], ids=["unknown-model", "theta0-length"])
-    def test_bad_config_model_is_input_error(self, model, tmp_path, capsys):
-        cfg = {"model": model, "n": 64}
+    @pytest.mark.parametrize("fields, said", [
+        ({"model": {"name": "nope", "theta0": [1.0]}}, "unknown model 'nope'"),
+        ({"model": {"name": "rational-diffusion", "theta0": [2.0]}}, "needs 2 theta0 entries"),
+        ({"n": 50.9, "seed": 2.7}, "n must be an integer >= 1, got 50.9"),
+    ], ids=["unknown-model", "theta0-length", "fractional-n"])
+    def test_bad_config_model_is_input_error(self, fields, said, tmp_path, capsys):
+        # a fractional count used to be truncated, and the run exited 0
+        cfg = {"model": {"name": "exp-linear-3", "theta0": [-2, 3, 0]}, "n": 64, **fields}
         cfg_file = tmp_path / "scenario.json"
         cfg_file.write_text(json.dumps(cfg))
         assert run(["simulate", "--config", cfg_file, "--out", tmp_path / "o"]) == 2
-        assert capsys.readouterr().err.startswith("error: invalid scenario config")
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario config") and said in err
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("covariate", "self-response"),  # the design key of older scenario files
@@ -400,9 +404,11 @@ SPIKE = ["--preset", "sec6-1-spike", "--n", "200", "--seed", "1"]
     ["estimate", *SPIKE, "--alpha", "1.5"],
     ["montecarlo", *SPIKE, "--reps", "2", "--alpha", "2"],
     ["estimate", *SPIKE, "--lambda", "0.1,0.5"],
+    ["estimate", *SPIKE, "--tol", "-1"],
+    ["estimate", *SPIKE, "--max-iters", "0"],
 ], ids=["lambda-range", "lambda-text", "init-length", "true-theta-length",
         "mc-lambda-range", "mc-zero-reps", "cluster-k1", "alpha-zero", "alpha-above-one",
-        "mc-alpha", "lambda-list"])
+        "mc-alpha", "lambda-list", "tol-negative", "max-iters-zero"])
 def test_bad_argument_exits_2_with_one_line(argv, tmp_path, capsys):
     assert run([*argv, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
@@ -467,7 +473,10 @@ def test_import_does_not_load_scipy_stats():
     ("rational-diffusion", 3, 2,
      "path has 2 response columns, model 'rational-diffusion' has d = 1"),
     ("exp-linear-3", 1, 1, "model 'exp-linear-3' reads 3 covariate columns, path has 1"),
-], ids=["two-responses", "two-responses-const", "two-responses-self", "one-covariate"])
+    ("exp-linear-3", 4, 1, "model 'exp-linear-3' reads 3 covariate columns, path has 4"),
+    ("const-levy", 3, 1, "model 'const-levy' reads 1 covariate columns, path has 3"),
+], ids=["two-responses", "two-responses-const", "two-responses-self", "one-covariate",
+        "four-covariates", "three-covariates-const"])
 def test_path_that_does_not_fit_the_model_exits_2(command, model, x_cols, y_cols, said,
                                                     tmp_path, capsys):
     # a second response column used to be ignored, and the fit reported converged

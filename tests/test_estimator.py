@@ -45,6 +45,17 @@ def const_model_path(n=64, eps2=1.0):
 
 
 class TestOptimizer:
+    @pytest.mark.parametrize("fields, said", [
+        ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": np.nan}, "tol"),
+        ({"max_iters": 0}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": True}, "max_iters"),
+    ], ids=["tol-negative", "tol-zero", "tol-nan", "max-iters-zero", "max-iters-fraction",
+            "max-iters-bool"])
+    def test_options_that_cannot_work_are_rejected(self, fields, said):
+        # a negative tol used to report every start as converged
+        with pytest.raises(ValueError, match=f"^{said} must be"):
+            OptimizerOptions(**fields)
+
     def test_interior_argmax_exact(self):
         # const-levy GQLF is -(n/2)(theta + C e^{-theta}) with argmax log C
         path, model = const_model_path(n=50, eps2=1.7)

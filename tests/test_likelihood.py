@@ -305,7 +305,10 @@ class TestValidationAndErrors:
         ("rational-diffusion", 0, 2,
          "path has 2 response columns, model 'rational-diffusion' has d = 1"),
         ("exp-linear-3", 1, 1, "model 'exp-linear-3' reads 3 covariate columns, path has 1"),
-    ], ids=["two-responses", "two-responses-const", "two-responses-self", "one-covariate"])
+        ("exp-linear-3", 4, 1, "model 'exp-linear-3' reads 3 covariate columns, path has 4"),
+        ("const-levy", 3, 1, "model 'const-levy' reads 1 covariate columns, path has 3"),
+    ], ids=["two-responses", "two-responses-const", "two-responses-self", "one-covariate",
+            "four-covariates", "three-covariates-const"])
     def test_path_that_does_not_fit_the_model(self, call, name, x_cols, y_cols, said, rng):
         # a wrong response dimension used to be fitted on the first column
         n = 20
@@ -319,11 +322,11 @@ class TestValidationAndErrors:
             call(path, make_builtin(name))
 
     def test_simulated_const_levy_path_fits(self):
-        # a simulated external path carries the three trig covariates; a
-        # model that reads fewer columns still fits it
+        # a simulated external path carries as many trig covariates as the
+        # model reads
         sc = Scenario(model=DgpModel(name="const-levy", theta0=(0.5,)), n=200, seed=1)
         path = simulate(sc).observed
-        assert path.covariates.shape[1] == 3
+        assert path.covariates.shape[1] == 1
         res = estimate(path, make_builtin("const-levy"), GQLF)
         assert res.converged and abs(res.theta_hat[0] - 0.5) < 0.3
 

@@ -300,6 +300,50 @@ class TestSharedPool:
         assert len(pids) == 2
         assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []
 
+    def test_workers_exit_when_their_process_is_killed(self, tmp_path):
+        # a killed process shuts no pool down: its idle workers used to stay,
+        # re-parented to init and holding its stdout open
+        code = ("import multiprocessing, os, signal, sys\n"
+                "from rvolest import ExperimentPlan, RobustConfig, get_preset, run_plan\n"
+                "run_plan(ExperimentPlan(get_preset('sec6-1-spike', n=150, seed=42),\n"
+                "                        (RobustConfig.gqlf(),), replications=2, threads=2))\n"
+                "with open(sys.argv[1], 'w') as fh:\n"
+                "    print(*(p.pid for p in multiprocessing.active_children()), file=fh)\n"
+                "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = os.path.dirname(os.path.dirname(montecarlo_mod.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        pid_file = tmp_path / "pids"
+        pids = []
+        try:
+            done = subprocess.run([sys.executable, "-c", code, pid_file], env=env,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                  timeout=120)
+            assert done.returncode == -signal.SIGKILL
+            pids = [int(pid) for pid in pid_file.read_text().split()]
+            assert len(pids) == 2
+            deadline = time.monotonic() + 5
+            while _running(pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _running(pids) == []
+        finally:
+            for pid in _running(pids):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _running(pids):
+    """The pids that name a live process; an exited, unreaped one is a zombie."""
+    running = []
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state = fh.read().rpartition(")")[2].split()[0]
+        except OSError:
+            continue
+        if state != "Z":
+            running.append(pid)
+    return running
+
 
 def test_estimator_label():
     assert estimator_label(RobustConfig.gqlf())[0] == "gqlf"

@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -248,7 +251,8 @@ class TestSimulate:
         if model.covariate_source is CovariateSource.SELF_RESPONSE:
             np.testing.assert_array_equal(path.covariates, path.responses)
         else:
-            np.testing.assert_array_equal(path.covariates, trig_covariates(path.times))
+            np.testing.assert_array_equal(path.covariates,
+                                          trig_covariates(path.times)[:, :model.cov_dim])
             assert not np.array_equal(path.covariates[:, :1], path.responses)
 
 
@@ -270,8 +274,27 @@ class TestPresets:
     def test_scenario_json_roundtrip(self):
         for name in PRESET_NAMES:
             sc = get_preset(name, n=321, seed=9)
-            again = scenario_from_dict(scenario_to_dict(sc))
+            again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
             assert again == sc
+
+    @pytest.mark.parametrize("name, blob", [
+        ("sec6-2-jump-gamma", {
+            "T": 1.0, "model": {"drift": "zero", "name": "exp-linear-3",
+                                "theta0": [-2.0, 3.0, 0.0]},
+            "jump": {"intensity": 3.21, "rate": 1.0, "scale": 1.0, "shape": 1.0,
+                     "size_law": "gamma"},
+            "n": 321, "seed": 9, "spike": None, "substeps": 10, "y0": 0.0}),
+        ("sec6-5-jumpdiff", {
+            "T": 1.0, "model": {"drift": "response", "name": "rational-diffusion",
+                                "theta0": [2.0, 3.0]},
+            "jump": {"intensity": 3.21, "mean": 0.0, "scale": 1.0, "sigma2": 3.0,
+                     "size_law": "normal"},
+            "n": 321, "seed": 9, "spike": None, "substeps": 10, "y0": 0.0}),
+    ])
+    def test_jump_file_that_lists_one_size_law_loads(self, name, blob):
+        # scenario files that list only the used size law's parameters, as
+        # earlier versions wrote them, load unchanged
+        assert scenario_from_dict(blob) == get_preset(name, n=321, seed=9)
 
     def test_invalid_scenario_dict(self):
         with pytest.raises(ValueError):
@@ -284,12 +307,23 @@ class TestPresets:
             assert set(blob) == {"model", "n", "T", "jump", "spike", "substeps", "seed", "y0"}
             assert set(blob["model"]) == {"name", "theta0", "drift"}
 
-    @pytest.mark.parametrize("where, key", [("scenario", "spikes"), ("model", "theta")])
+    @pytest.mark.parametrize("where, key", [
+        ("scenario", "spikes"), ("model", "theta"), ("jump", "x"), ("spike", "x"),
+    ])
     def test_unknown_scenario_key_rejected(self, where, key):
-        blob = scenario_to_dict(get_preset("sec6-1-clean", n=50))
-        (blob if where == "scenario" else blob["model"])[key] = 1
-        with pytest.raises(ValueError, match=f"unknown {where} key '{key}'"):
+        sc = replace(get_preset("sec6-2-jump-normal", n=50), spike=SpikeSpec(prob=0.1))
+        blob = scenario_to_dict(sc)
+        (blob if where == "scenario" else blob[where])[key] = 1
+        record = {"scenario": Scenario, "model": DgpModel, "jump": JumpSpec,
+                  "spike": SpikeSpec}[where]
+        accepted = ", ".join(f.name for f in dataclasses.fields(record))
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid scenario config: unknown {where} key '{key}' (accepted: {accepted})")):
             scenario_from_dict(blob)
+
+    def test_jump_file_lists_every_field(self):
+        blob = scenario_to_dict(get_preset("sec6-2-jump-gamma", n=50))
+        assert set(blob["jump"]) == {f.name for f in dataclasses.fields(JumpSpec)}
 
 
 class TestSpecs:
@@ -316,6 +350,29 @@ class TestSpecs:
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             Scenario(model=DgpModel(name="exp-linear-3", theta0=(0.0, 0.0, 0.0)), n=0)
+
+    @pytest.mark.parametrize("field", ["n", "substeps", "seed"])
+    @pytest.mark.parametrize("value", [True, 12.5, -3, "12", np.nan], ids=[
+        "bool", "fraction", "negative", "text", "nan"])
+    def test_scenario_counts_must_be_integers(self, field, value):
+        model = DgpModel(name="exp-linear-3", theta0=(0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            Scenario(model=model, **{"n": 10, field: value})
+
+    @pytest.mark.parametrize("value", [12.0, np.int64(12), np.float32(12.0)])
+    def test_scenario_stores_whole_counts_as_ints(self, value):
+        model = DgpModel(name="exp-linear-3", theta0=(0, 0, 0))
+        sc = Scenario(model=model, n=value, substeps=value, seed=value, T=2, y0=1)
+        assert [(v, type(v)) for v in (sc.n, sc.substeps, sc.seed)] == [(12, int)] * 3
+        assert (type(sc.T), type(sc.y0), type(model.theta0[0])) == (float, float, float)
+
+    def test_dgp_model_converts_json_values(self):
+        model = DgpModel(name="rational-diffusion", theta0=[2, 3], drift="response")
+        assert model == DgpModel(name="rational-diffusion", theta0=(2.0, 3.0),
+                                 drift=DriftKind.RESPONSE)
+        assert type(model.theta0) is tuple
+        with pytest.raises(ValueError, match="needs 2 theta0 entries, got '23'"):
+            DgpModel(name="rational-diffusion", theta0="23")
 
     @pytest.mark.parametrize("fields", [
         {"sigma2": -1.0}, {"sigma2": np.nan}, {"intensity": np.nan}, {"intensity": np.inf},
