@@ -5,7 +5,10 @@ box, driven by the analytic gradient; it is the only optimizer.  The box must
 keep S(x, theta) SPD: a trial point where factorization fails raises
 CholeskyFailure with the offending increment index, so a failed evaluation
 never turns into a reported success.  The value and gradient at theta_hat are
-the optimizer's own final evaluation.
+the optimizer's own final evaluation, and so is the per-increment record that
+the plug-in step reads when that evaluation ran at exactly theta_hat; on any
+other point S and dS are evaluated once more.  scipy is imported by the
+functions that use it, so `import rvolest` does not load it.
 
 Plug-in asymptotic matrices replace (1/T) integral g(X_t, theta_0) dt by
 (1/n) sum_j g(x_{j-1}, theta_hat):
@@ -32,8 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
-from scipy.special import ndtri
 
 from .exceptions import SingularGamma
 from .likelihood import ObservationPath, RobustConfig, Variant, _increments, value_and_grad
@@ -90,13 +91,15 @@ def check_taper_schedule(n: int, lam: float, kappa: float = 1.0, T: float = 1.0)
     return float(np.sqrt(n) * (T / n) ** kappa / lam)
 
 
-def plugin_matrices(path, model, theta_hat, config: RobustConfig):
+def plugin_matrices(path, model, theta_hat, config: RobustConfig, *, record=None):
     """(gamma_hat, sigma_hat, fisher_hat) at theta_hat for the given variant.
 
     For the plain GQLF both Gamma and Sigma coincide with the Fisher matrix
-    (the lam -> 0 limit of either robust family).
+    (the lam -> 0 limit of either robust family).  ``record`` is likelihood's
+    per-increment record already evaluated at exactly theta_hat; without it
+    S and dS are evaluated here.
     """
-    inc = _increments(path, model, theta_hat)
+    inc = _increments(path, model, theta_hat) if record is None else record
     n, d, p = path.n, model.d, model.p
     outer_t = inc.t[:, :, None] * inc.t[:, None, :]
     if d == 1:
@@ -168,6 +171,8 @@ def confidence_intervals(
     0 < alpha < 1.
     """
     _check_alpha(alpha)
+    from scipy.special import ndtri
+
     theta_hat = np.asarray(theta_hat, dtype=float)
     avar = sandwich_avar(gamma, sigma)
     diag = np.diagonal(avar)
@@ -218,9 +223,13 @@ def estimate(
     if theta0 is not None and np.shape(theta0) != (box.p,):
         raise ValueError(f"theta0 must have {box.p} entries, got shape {np.shape(theta0)}")
 
+    last = []  # [theta bytes, record] of the latest evaluation
+
     def neg_val_grad(theta):
-        val, grad = value_and_grad(path, model, theta, config)
+        val, grad = value_and_grad(path, model, theta, config, keep=last)
         return -val, -grad
+
+    import scipy.optimize
 
     res = scipy.optimize.minimize(
         neg_val_grad,
@@ -237,7 +246,9 @@ def estimate(
     converged = bool(res.success) or pg_norm <= opts.tol
     boundary = (theta_hat <= box.lower + 1e-10) | (theta_hat >= box.upper - 1e-10)
 
-    gamma, sigma, fisher = plugin_matrices(path, model, theta_hat, config)
+    # reuse the optimizer's record when its copied theta is theta_hat's bits
+    record = last[1] if last and last[0] == theta_hat.tobytes() else None
+    gamma, sigma, fisher = plugin_matrices(path, model, theta_hat, config, record=record)
     try:
         ci, avar, u_stat, negative = confidence_intervals(
             theta_hat, gamma, sigma, path.n, alpha=alpha, theta0=theta0

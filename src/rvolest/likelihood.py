@@ -235,13 +235,19 @@ def _objective_matrix(inc: _Increments, d: int, config: RobustConfig):
     return float(np.sum(values)), np.sum(grads, axis=0)
 
 
-def value_and_grad(path, model, theta, config) -> tuple[float, np.ndarray]:
+def value_and_grad(path, model, theta, config, *, keep: list | None = None
+                   ) -> tuple[float, np.ndarray]:
     """Objective and its analytic gradient in one pass (shared S/dS evaluation).
 
     The one public objective function: the estimator maximizes it, and every
-    variant and dimension goes through it.
+    variant and dimension goes through it.  A ``keep`` list is set to
+    ``[theta bytes, record]``: a copy of theta taken now and the
+    per-increment record, which `estimator.plugin_matrices` reads at the same
+    theta instead of evaluating S and dS again.
     """
     inc = _increments(path, model, theta)
+    if keep is not None:
+        keep[:] = [np.asarray(theta, dtype=float).tobytes(), inc]
     if model.d == 1:
         return _objective_d1(inc, config)
     return _objective_matrix(inc, model.d, config)

@@ -42,7 +42,7 @@ from .estimator import _check_alpha, estimate
 from .exceptions import RvolestError
 from .likelihood import RobustConfig, Variant
 from .model import make_builtin
-from .simulator import Scenario, simulate
+from .simulator import Scenario, _count, simulate
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,8 @@ class ExperimentPlan:
     threads: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if self.threads < 1:
-            raise ValueError(f"need at least one thread, got {self.threads}")
+        for name in ("replications", "threads"):
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         _check_alpha(self.alpha)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
@@ -281,6 +279,9 @@ def _run_pooled(workers: int, jobs: list) -> list:
             pass
         else:
             return _collect(results)
+    # The workers inherit the optimizer (and scipy's OpenBLAS, which the pin
+    # then covers) instead of each importing it at its first fit.
+    import scipy.optimize  # noqa: F401
     # The plan that starts the pool runs under the pin as a whole: restoring
     # the caller's BLAS thread count restarts OpenBLAS's threads, which spin
     # for a while and would take CPU from the new workers.

@@ -50,6 +50,34 @@ def rng_stream(seed: int, replication: int, lane: Lane) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _count(name: str, value, least: int) -> int:
+    """An integer field as an int: a bool, a fraction, a non-number or a value
+    below ``least`` raises ValueError naming the field.  12.0 is accepted."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _number(name: str, value) -> float:
+    """A number field as a float: a bool or a non-number (a JSON string, say)
+    raises ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _store_numbers(record, *names: str) -> list[float]:
+    """Store each named field of a frozen record as a float, through `_number`,
+    and return the stored values."""
+    values = [_number(f"{type(record).__name__}.{name}", getattr(record, name))
+              for name in names]
+    for name, value in zip(names, values):
+        object.__setattr__(record, name, value)
+    return values
+
+
 @dataclass(frozen=True)
 class JumpSpec:
     """Compound-Poisson jump component: CP(intensity, size_law), scaled by scale."""
@@ -65,7 +93,7 @@ class JumpSpec:
     def __post_init__(self):
         if self.size_law not in ("normal", "gamma"):
             raise ValueError(f"unknown size_law {self.size_law!r}")
-        values = [self.intensity, self.mean, self.sigma2, self.shape, self.rate, self.scale]
+        values = _store_numbers(self, "intensity", "mean", "sigma2", "shape", "rate", "scale")
         if not (np.all(np.isfinite(values)) and self.intensity >= 0 and self.sigma2 >= 0
                 and self.shape > 0 and self.rate > 0):
             raise ValueError("jump fields must be finite, with intensity, sigma2 >= 0 "
@@ -87,6 +115,7 @@ class SpikeSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        _store_numbers(self, "prob", "sigma2")
         if not (0.0 <= self.prob <= 1.0 and np.isfinite(self.sigma2) and self.sigma2 >= 0):
             raise ValueError("need spike prob in [0, 1] and finite sigma2 >= 0")
 
@@ -109,7 +138,8 @@ class DgpModel:
         if np.ndim(self.theta0) != 1 or len(self.theta0) != model.p:
             raise ValueError(f"model {self.name!r} needs {model.p} theta0 entries, "
                              f"got {self.theta0!r}")
-        object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
+        theta0 = tuple(_number("theta0 entry", v) for v in self.theta0)
+        object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "drift", DriftKind(self.drift))
         if not np.all(np.isfinite(self.theta0_array())):
             raise ValueError("theta0 entries must be finite")
@@ -133,14 +163,8 @@ class Scenario:
 
     def __post_init__(self):
         for name, least in (("n", 1), ("substeps", 1), ("seed", 0)):
-            value = getattr(self, name)
-            whole = isinstance(value, numbers.Integral) or (
-                isinstance(value, numbers.Real) and float(value).is_integer())
-            if isinstance(value, bool) or not whole or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "y0", float(self.y0))
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
+        _store_numbers(self, "T", "y0")
         if not (np.isfinite(self.T) and self.T > 0 and np.isfinite(self.y0)):
             raise ValueError("need finite T > 0 and finite y0")
 
@@ -288,6 +312,8 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def _check_keys(data: dict, record: type, where: str) -> None:
     """Reject keys that name no field of `record`: a typo must not pass silently."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
     accepted = [f.name for f in fields(record)]
     unknown = sorted(set(data) - set(accepted))
     if unknown:

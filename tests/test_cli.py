@@ -466,6 +466,53 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_import_does_not_load_the_optimizer():
+    # scipy.optimize and scipy.special cost most of a cold start; the library
+    # imports them where a fit or an interval needs them
+    code = ("import sys, rvolest; "
+            "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("record, field, value", [
+    ("jump", "intensity", True), ("jump", "intensity", "5"), ("jump", "sigma2", None),
+    ("spike", "prob", True), ("spike", "sigma2", "1"), (None, "T", True), (None, "y0", "0"),
+], ids=["jump-bool", "jump-text", "jump-null", "spike-bool", "spike-text", "T-bool", "y0-text"])
+def test_config_number_that_is_not_a_number_exits_2(record, field, value, tmp_path, capsys):
+    # "intensity": true used to load as 1 and be written back as true, and
+    # "intensity": "5" failed inside numpy without naming the field
+    cfg = {"model": {"name": "exp-linear-3", "theta0": [-2, 3, 0]}, "n": 50,
+           "jump": {"intensity": 5.0}, "spike": {"prob": 0.1}}
+    (cfg if record is None else cfg[record])[field] = value
+    cfg_file = tmp_path / "scenario.json"
+    cfg_file.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", cfg_file, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario config: ")
+    assert f".{field} must be a number, got {value!r}" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg, said", [
+    ({"model": {"name": "exp-linear-3", "theta0": [-2, 3, 0]}, "n": 50, "jump": 5},
+     "jump must be a JSON object, got 5"),
+    ({"model": {"name": "exp-linear-3", "theta0": [-2, 3, 0]}, "n": 50, "spike": [0.1]},
+     "spike must be a JSON object, got [0.1]"),
+    ({"model": "exp-linear-3", "n": 50}, "model must be a JSON object, got 'exp-linear-3'"),
+    ([1, 2], "scenario must be a JSON object, got [1, 2]"),
+], ids=["jump-number", "spike-list", "model-string", "scenario-list"])
+def test_config_record_that_is_not_an_object_exits_2(cfg, said, tmp_path, capsys):
+    # such a record used to fail with "'int' object is not iterable"
+    cfg_file = tmp_path / "scenario.json"
+    cfg_file.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", cfg_file, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invalid scenario config: {said}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "cluster"])
 @pytest.mark.parametrize("model, x_cols, y_cols, said", [
     ("exp-linear-3", 3, 2, "path has 2 response columns, model 'exp-linear-3' has d = 1"),

@@ -352,3 +352,86 @@ def test_estimation_layer_keeps_its_bits(kind, expected):
                     residuals(path, model, res.theta_hat)):
             digest.update(np.asarray(arr, dtype=float).tobytes())
     assert digest.hexdigest() == expected
+
+
+def _reuse_case(kind, rng):
+    if kind == "d1":
+        return make_exp_linear_path(rng, n=300, spikes=2)
+    from test_multidim import coupled_model, random_path
+    path = random_path(rng, 200, 2, rng.uniform(-1.0, 1.0, (201, 1)))
+    return path, coupled_model(2)
+
+
+def _assert_plugin_bits(res, path, model, config):
+    gamma, sigma, fisher = plugin_matrices(path, model, res.theta_hat, config)
+    np.testing.assert_array_equal(res.gamma_hat, gamma)
+    np.testing.assert_array_equal(res.sigma_hat, sigma)
+    np.testing.assert_array_equal(res.fisher_hat, fisher)
+
+
+class TestPluginReuse:
+    """The plug-in step reads the optimizer's last per-increment record when
+    that evaluation ran at theta_hat, and evaluates S and dS again otherwise."""
+
+    @pytest.mark.parametrize("kind", ["d1", "d2"])
+    @pytest.mark.parametrize("config", [RobustConfig.gqlf(), RobustConfig.density_power(0.5),
+                                        RobustConfig.hoelder(0.5)], ids=["gqlf", "dp", "holder"])
+    def test_one_ds_evaluation_per_objective_evaluation(self, kind, config, rng, monkeypatch):
+        path, model = _reuse_case(kind, rng)
+        calls = {"value_and_grad": 0, "ds_values": 0}
+        original_vg, original_ds = estimator_mod.value_and_grad, ModelSpec.ds_values
+
+        def counting_vg(*args, **kwargs):
+            calls["value_and_grad"] += 1
+            return original_vg(*args, **kwargs)
+
+        def counting_ds(self, *args):
+            calls["ds_values"] += 1
+            return original_ds(self, *args)
+
+        monkeypatch.setattr(estimator_mod, "value_and_grad", counting_vg)
+        monkeypatch.setattr(ModelSpec, "ds_values", counting_ds)
+        res = estimate(path, model, config)
+        monkeypatch.undo()
+        assert calls["value_and_grad"] >= 2
+        assert calls["ds_values"] == calls["value_and_grad"]
+        _assert_plugin_bits(res, path, model, config)
+
+    @pytest.mark.parametrize("kind", ["d1", "d2"])
+    def test_miss_recomputes_at_theta_hat(self, kind, rng, monkeypatch):
+        # the optimizer evaluates one more point after it has finished, then
+        # writes theta_hat into the buffer it passed: a record kept by
+        # reference, or taken without a check, would be the wrong point's
+        import scipy.optimize
+
+        path, model = _reuse_case(kind, rng)
+        config = RobustConfig.density_power(0.5)
+        real = scipy.optimize.minimize
+
+        def one_more(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            buffer = res.x + 0.05
+            fun(buffer)
+            buffer[:] = res.x
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", one_more)
+        res = estimate(path, model, config)
+        monkeypatch.undo()
+        _assert_plugin_bits(res, path, model, config)
+        np.testing.assert_array_equal(res.theta_hat, estimate(path, model, config).theta_hat)
+
+    def test_objective_without_the_hand_back_recomputes(self, rng, monkeypatch):
+        # a replacement objective that drops the keyword leaves no record
+        path, model = _reuse_case("d1", rng)
+        config = RobustConfig.hoelder(0.5)
+        base = estimate(path, model, config)
+        original = estimator_mod.value_and_grad
+
+        def dropping(path, model, theta, config, **_):
+            return original(path, model, theta, config)
+
+        monkeypatch.setattr(estimator_mod, "value_and_grad", dropping)
+        res = estimate(path, model, config)
+        for name in ("theta_hat", "gamma_hat", "sigma_hat", "fisher_hat", "ci"):
+            np.testing.assert_array_equal(getattr(res, name), getattr(base, name))

@@ -97,6 +97,21 @@ class TestRunPlan:
         with pytest.raises(ValueError, match="thread"):
             small_plan(threads=threads)
 
+    @pytest.mark.parametrize("field, value", [
+        ("replications", True), ("replications", 2.5), ("replications", "4"),
+        ("threads", True), ("threads", 1.5), ("threads", None),
+    ], ids=["reps-bool", "reps-fraction", "reps-text", "threads-bool", "threads-fraction",
+            "threads-none"])
+    def test_counts_must_be_integers(self, field, value):
+        # replications=True ran one replication; threads=1.5 failed inside run_plan
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+            small_plan(**{field: value})
+
+    def test_whole_counts_are_stored_as_ints(self):
+        plan = small_plan(replications=4.0, threads=np.int64(2))
+        assert (plan.replications, plan.threads) == (4, 2)
+        assert (type(plan.replications), type(plan.threads)) == (int, int)
+
     @pytest.mark.parametrize("threads, replications, workers", [
         (2, 1, None), (4, 2, 2), (2, 3, 2), (1, 3, None),
     ])
@@ -329,6 +344,24 @@ class TestSharedPool:
         finally:
             for pid in _running(pids):
                 os.kill(pid, signal.SIGKILL)
+
+    def test_workers_inherit_the_optimizer(self):
+        # `import rvolest` does not load scipy.optimize; the first pooled plan
+        # imports it before the workers fork, so that no worker imports it
+        # for itself and scipy's OpenBLAS is loaded before the BLAS pin
+        code = ("import sys\n"
+                "import rvolest.montecarlo as mc\n"
+                "def probe(job):\n"
+                "    return 'scipy.optimize' in sys.modules\n"
+                "probe.__module__, probe.__qualname__ = mc.__name__, '_run_replication'\n"
+                "mc._run_replication = probe  # the workers look it up by name\n"
+                "print('scipy.optimize' in sys.modules, mc._run_pooled(2, [0, 1]))\n")
+        src = os.path.dirname(os.path.dirname(montecarlo_mod.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "False [True, True]"
 
 
 def _running(pids):

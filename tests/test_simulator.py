@@ -400,3 +400,36 @@ class TestSpecs:
     def test_dgp_model_rejects_nonfinite_theta0(self):
         with pytest.raises(ValueError, match="finite"):
             DgpModel(name="rational-diffusion", theta0=(2.0, np.nan))
+
+    @pytest.mark.parametrize("record, field", [
+        (JumpSpec, "intensity"), (JumpSpec, "mean"), (JumpSpec, "sigma2"), (JumpSpec, "shape"),
+        (JumpSpec, "rate"), (JumpSpec, "scale"), (SpikeSpec, "prob"), (SpikeSpec, "sigma2"),
+        (Scenario, "T"), (Scenario, "y0"),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "5", None, [1.0]],
+                             ids=["bool", "numpy-bool", "text", "none", "list"])
+    def test_number_fields_reject_bools_and_non_numbers(self, record, field, value):
+        # a bool used to load as 0 or 1 (and be saved back as a bool); a string
+        # failed inside numpy, naming no field
+        base = {JumpSpec: {"intensity": 10.0}, SpikeSpec: {"prob": 0.1},
+                Scenario: {"model": DgpModel(name="exp-linear-3", theta0=(0.0, 0.0, 0.0)),
+                           "n": 10}}[record]
+        said = f"{record.__name__}.{field} must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(said)}$"):
+            record(**{**base, field: value})
+
+    @pytest.mark.parametrize("value", [True, "2"], ids=["bool", "text"])
+    def test_theta0_entries_must_be_numbers(self, value):
+        with pytest.raises(ValueError, match=f"^theta0 entry must be a number, got {value!r}$"):
+            DgpModel(name="rational-diffusion", theta0=(value, 3.0))
+
+    def test_number_fields_are_stored_as_floats(self):
+        jump = JumpSpec(intensity=5, mean=np.int64(0), sigma2=np.float32(3.0), shape=1, rate=2,
+                        scale=1)
+        spike = SpikeSpec(prob=0, sigma2=2)
+        assert jump == JumpSpec(intensity=5.0, mean=0.0, sigma2=3.0, shape=1.0, rate=2.0,
+                                scale=1.0)
+        assert spike == SpikeSpec(prob=0.0, sigma2=2.0)
+        values = [getattr(jump, f) for f in ("intensity", "mean", "sigma2", "shape", "rate",
+                                             "scale")] + [spike.prob, spike.sigma2]
+        assert {type(v) for v in values} == {float}
