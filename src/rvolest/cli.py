@@ -323,6 +323,10 @@ def cmd_cluster(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--k-range expects LO:HI, got {k_range!r}") from exc
     _check_k_range(ks)
+    if args.k is not None and args.k < 2:
+        raise ValueError(f"--k must be at least 2, got {args.k}")
+    if args.kmeans_seed < 0:
+        raise ValueError(f"--kmeans-seed must be non-negative, got {args.kmeans_seed}")
     path, model, _ = _estimation_inputs(args)
     config = _single_config(args)
     res = estimate(path, model, config)

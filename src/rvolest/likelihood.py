@@ -168,10 +168,9 @@ def _increments(path, model, theta, whiten_only: bool = False) -> _Increments:
     theta = np.asarray(theta, dtype=float)
     x_block = covariate_block(path, model)
     eps = scaled_increments(path)
-    n, d, p = path.n, model.d, model.p
-    if d == 1:
+    if model.d == 1:
         eps = eps[:, 0]
-        s = np.asarray(model.s_values(x_block, theta), dtype=float)
+        s = model.s_values(x_block, theta)
         bad = ~(np.isfinite(s) & (s > 0.0))
         if np.any(bad):
             raise CholeskyFailure(index=int(np.argmax(bad)) + 1)
@@ -179,12 +178,12 @@ def _increments(path, model, theta, whiten_only: bool = False) -> _Increments:
             return _Increments(eps, s=s)
         t = model.ds_values(x_block, theta) / s[:, None]
         return _Increments(eps, s=s, log_det=np.log(s), quad=eps * eps / s, t=t)
-    lower = chol_spd(model.s_values(x_block, theta).reshape(n, d, d))
+    lower = chol_spd(model.s_values(x_block, theta))
     z = np.linalg.solve(lower, eps[:, :, None])[:, :, 0]
     if whiten_only:
         return _Increments(eps, z=z)
     log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
-    ds = model.ds_values(x_block, theta).reshape(n, p, d, d)
+    ds = model.ds_values(x_block, theta)
     half = np.linalg.solve(lower[:, None], ds)
     a = np.linalg.solve(lower[:, None], np.swapaxes(half, -1, -2))
     return _Increments(eps, z=z, log_det=log_det, quad=np.einsum("ja,ja->j", z, z),

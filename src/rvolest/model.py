@@ -2,11 +2,13 @@
 
 A model supplies the squared diffusion coefficient S = sigma sigma' together
 with its analytic theta-derivatives dS, the covariate convention and a
-parameter box; optional vectorized maps evaluate S and dS along a whole
-covariate block.  S must be SPD at every point of the box: the estimator
-stops with CholeskyFailure at a trial point where it is not.
+parameter box.  S and dS are vectorized maps over a whole covariate block, or
+pointwise maps as a slower fallback (see ModelSpec).  S must be SPD at every
+point of the box: the estimator stops with CholeskyFailure at a trial point
+where it is not.
 
-Builtin families (names as they appear in scenario configs):
+Builtin families (names as they appear in scenario configs), each one shared
+record that states S and dS once, vectorized:
 
   "exp-linear-3"       S(x, theta) = exp(theta_1 x_1 + theta_2 x_2 + theta_3 x_3),
                        external deterministic covariate, d = 1, p = 3.
@@ -79,12 +81,19 @@ class ParameterBox:
 class ModelSpec:
     """A parametric family S(x, theta) with analytic derivatives.
 
-    S maps (x, theta) to a d x d SPD matrix (a positive scalar for d = 1);
-    dS returns the p matrices d S / d theta_k stacked on the first axis (p
-    scalars for d = 1).  Both are required.  s_path / ds_path are optional
-    vectorized evaluators over a whole (n, cov_dim) block of covariates,
-    returning the shapes of s_values / ds_values; when absent they are
-    synthesized from the pointwise maps.
+    S is a d x d SPD matrix (a positive scalar for d = 1); dS holds the p
+    matrices d S / d theta_k stacked on the first axis (p scalars for d = 1).
+    A family states each once, in one of two forms:
+
+    - s_path / ds_path, vectorized over an (n, cov_dim) covariate block, return
+      the shapes of s_values / ds_values: (n,) and (n, p) for d = 1, else
+      (n, d, d) and (n, p, d, d).  The builtins give only this form.
+    - S / dS, pointwise maps of one covariate row, are the slower fallback:
+      s_values / ds_values loop over the rows when the vectorized map is absent.
+
+    Construction rejects a family that gives neither form of S or of dS, and a
+    box whose length is not p.  s_values / ds_values reject a vectorized
+    result of the wrong shape.
 
     sigma(y, theta) is the optional diffusion coefficient of a d = 1
     SELF_RESPONSE model, with sigma**2 == S.  `simulate`'s Euler loop calls it
@@ -97,139 +106,112 @@ class ModelSpec:
     d: int
     p: int
     cov_dim: int
-    S: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dS: Callable[[np.ndarray, np.ndarray], np.ndarray]
     box: ParameterBox
     covariate_source: CovariateSource = CovariateSource.EXTERNAL
     s_path: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     ds_path: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    S: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    dS: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     sigma: Optional[Callable[[float, tuple], float]] = None
+
+    def __post_init__(self):
+        if self.s_path is None and self.S is None:
+            raise ValueError(f"model {self.name!r} gives neither s_path nor S")
+        if self.ds_path is None and self.dS is None:
+            raise ValueError(f"model {self.name!r} gives neither ds_path nor dS")
+        if self.box.p != self.p:
+            raise ValueError(f"model {self.name!r} has p = {self.p}, "
+                             f"its box has {self.box.p} entries")
 
     def s_values(self, x_block: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """S along a covariate block; (n,) for d=1, else (n, d, d)."""
-        if self.s_path is not None:
-            return self.s_path(x_block, theta)
-        out = np.array([np.asarray(self.S(x, theta), dtype=float) for x in x_block])
-        if self.d == 1:
-            return out.reshape(len(x_block))
-        return out.reshape(len(x_block), self.d, self.d)
+        shape = (len(x_block),) if self.d == 1 else (len(x_block), self.d, self.d)
+        if self.s_path is None:
+            return np.array([np.asarray(self.S(x, theta), dtype=float)
+                             for x in x_block]).reshape(shape)
+        return self._checked("s_path", self.s_path(x_block, theta), shape)
 
     def ds_values(self, x_block: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """dS along a covariate block; (n, p) for d=1, else (n, p, d, d)."""
-        if self.ds_path is not None:
-            return self.ds_path(x_block, theta)
-        out = np.array([np.asarray(self.dS(x, theta), dtype=float) for x in x_block])
-        if self.d == 1:
-            return out.reshape(len(x_block), self.p)
-        return out.reshape(len(x_block), self.p, self.d, self.d)
+        shape = (len(x_block), self.p) + ((self.d, self.d) if self.d > 1 else ())
+        if self.ds_path is None:
+            return np.array([np.asarray(self.dS(x, theta), dtype=float)
+                             for x in x_block]).reshape(shape)
+        return self._checked("ds_path", self.ds_path(x_block, theta), shape)
+
+    def _checked(self, what: str, values, shape: tuple) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if values.shape != shape:
+            raise ValueError(f"model {self.name!r}: {what} returned shape "
+                             f"{values.shape}, expected {shape}")
+        return values
 
 
-def _exp_linear_3(box: ParameterBox | None) -> ModelSpec:
-    if box is None:
-        box = ParameterBox(lower=[-10.0] * 3, upper=[10.0] * 3, initial=[0.0] * 3)
-
-    def S(x, theta):
-        return float(np.exp(np.dot(x, theta)))
-
-    def dS(x, theta):
-        s = np.exp(np.dot(x, theta))
-        return np.asarray(x, dtype=float) * s
-
-    def s_path(xb, theta):
-        return np.exp(xb @ theta)
-
-    def ds_path(xb, theta):
-        return xb * np.exp(xb @ theta)[:, None]
-
-    return ModelSpec(
-        name="exp-linear-3", d=1, p=3, cov_dim=3, S=S, dS=dS,
-        box=box, covariate_source=CovariateSource.EXTERNAL,
-        s_path=s_path, ds_path=ds_path,
-    )
+def _exp_linear_s(xb, theta):
+    return np.exp(xb @ theta)
 
 
-def _rational_diffusion(box: ParameterBox | None) -> ModelSpec:
-    if box is None:
-        box = ParameterBox(lower=[0.01, 0.01], upper=[10.0, 10.0], initial=[5.0, 5.0])
-
-    # sigma is linear in theta, so d sigma / d theta is theta-free.
-    def _sig_parts(y):
-        y2 = np.square(y)
-        den = 1.0 + y2
-        return 1.0 / den, y2 / den  # d sigma / d theta_1, d sigma / d theta_2
-
-    def sigma(y, theta):
-        # The Euler loop calls this once per fine step with a float y: plain
-        # float arithmetic, in the operation order of s_path.
-        y2 = y * y
-        den = 1.0 + y2
-        return theta[0] * (1.0 / den) + theta[1] * (y2 / den)
-
-    def S(x, theta):
-        return sigma(float(x[0]), theta) ** 2
-
-    def dS(x, theta):
-        y = float(np.atleast_1d(x)[0])
-        g1, g2 = _sig_parts(y)
-        sig = theta[0] * g1 + theta[1] * g2
-        return np.array([2.0 * sig * g1, 2.0 * sig * g2])
-
-    def s_path(xb, theta):
-        y = np.asarray(xb, dtype=float).reshape(len(xb))
-        g1, g2 = _sig_parts(y)
-        return (theta[0] * g1 + theta[1] * g2) ** 2
-
-    def ds_path(xb, theta):
-        y = np.asarray(xb, dtype=float).reshape(len(xb))
-        g1, g2 = _sig_parts(y)
-        sig = theta[0] * g1 + theta[1] * g2
-        return np.stack([2.0 * sig * g1, 2.0 * sig * g2], axis=1)
-
-    return ModelSpec(
-        name="rational-diffusion", d=1, p=2, cov_dim=1, S=S, dS=dS,
-        box=box, covariate_source=CovariateSource.SELF_RESPONSE,
-        s_path=s_path, ds_path=ds_path, sigma=sigma,
-    )
+def _exp_linear_ds(xb, theta):
+    return xb * np.exp(xb @ theta)[:, None]
 
 
-def _const_levy(box: ParameterBox | None) -> ModelSpec:
-    if box is None:
-        box = ParameterBox(lower=[-5.0], upper=[5.0], initial=[0.0])
-
-    def S(x, theta):
-        return float(np.exp(theta[0]))
-
-    def dS(x, theta):
-        return np.array([np.exp(theta[0])])
-
-    def s_path(xb, theta):
-        return np.full(len(xb), np.exp(theta[0]))
-
-    def ds_path(xb, theta):
-        return np.full((len(xb), 1), np.exp(theta[0]))
-
-    return ModelSpec(
-        name="const-levy", d=1, p=1, cov_dim=1, S=S, dS=dS,
-        box=box, covariate_source=CovariateSource.EXTERNAL,
-        s_path=s_path, ds_path=ds_path,
-    )
+# sigma is linear in theta, so d sigma / d theta is theta-free.
+def _rational_parts(xb):
+    y2 = np.square(np.asarray(xb, dtype=float).reshape(len(xb)))
+    den = 1.0 + y2
+    return 1.0 / den, y2 / den  # d sigma / d theta_1, d sigma / d theta_2
 
 
-_BUILTINS = {
-    "exp-linear-3": _exp_linear_3,
-    "rational-diffusion": _rational_diffusion,
-    "const-levy": _const_levy,
-}
+def _rational_sigma(y, theta):
+    # The Euler loop calls this once per fine step with a float y: plain
+    # float arithmetic, in the operation order of _rational_s.
+    y2 = y * y
+    den = 1.0 + y2
+    return theta[0] * (1.0 / den) + theta[1] * (y2 / den)
+
+
+def _rational_s(xb, theta):
+    g1, g2 = _rational_parts(xb)
+    return (theta[0] * g1 + theta[1] * g2) ** 2
+
+
+def _rational_ds(xb, theta):
+    g1, g2 = _rational_parts(xb)
+    sig = theta[0] * g1 + theta[1] * g2
+    return np.stack([2.0 * sig * g1, 2.0 * sig * g2], axis=1)
+
+
+def _const_levy_s(xb, theta):
+    return np.full(len(xb), np.exp(theta[0]))
+
+
+def _const_levy_ds(xb, theta):
+    return np.full((len(xb), 1), np.exp(theta[0]))
+
+
+# Frozen records with read-only boxes, so make_builtin hands out the same one.
+_BUILTINS = {model.name: model for model in (
+    ModelSpec(name="exp-linear-3", d=1, p=3, cov_dim=3,
+              box=ParameterBox(lower=[-10.0] * 3, upper=[10.0] * 3, initial=[0.0] * 3),
+              s_path=_exp_linear_s, ds_path=_exp_linear_ds),
+    ModelSpec(name="rational-diffusion", d=1, p=2, cov_dim=1,
+              box=ParameterBox(lower=[0.01, 0.01], upper=[10.0, 10.0], initial=[5.0, 5.0]),
+              covariate_source=CovariateSource.SELF_RESPONSE,
+              s_path=_rational_s, ds_path=_rational_ds, sigma=_rational_sigma),
+    ModelSpec(name="const-levy", d=1, p=1, cov_dim=1,
+              box=ParameterBox(lower=[-5.0], upper=[5.0], initial=[0.0]),
+              s_path=_const_levy_s, ds_path=_const_levy_ds),
+)}
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
-def make_builtin(name: str, box: ParameterBox | None = None) -> ModelSpec:
-    """Construct a builtin model, optionally overriding its parameter box."""
+def make_builtin(name: str) -> ModelSpec:
+    """The builtin model called `name`; `dataclasses.replace(model, box=...)`
+    gives it another parameter box."""
     try:
-        factory = _BUILTINS[name]
+        return _BUILTINS[name]
     except KeyError:
         raise UnknownModel(
             f"unknown model {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         ) from None
-    return factory(box)

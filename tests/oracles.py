@@ -180,8 +180,9 @@ def random_symmetric(rng, d: int) -> np.ndarray:
 
 
 def increment_reference(path, model, theta):
-    """Per-increment terms for any d, one increment at a time from the pointwise
-    S/dS with np.linalg.slogdet and inv (no Cholesky, no batching).
+    """Per-increment terms for any d, one increment at a time from one-row
+    s_values/ds_values blocks with np.linalg.slogdet and inv (no Cholesky, no
+    batching).
 
     Returns (log det S_j, eps_j' S_j^{-1} eps_j, t_jk = tr(S_j^{-1} d_k S_j),
     u_jk = eps_j' S_j^{-1} d_k S_j S_j^{-1} eps_j,
@@ -191,8 +192,8 @@ def increment_reference(path, model, theta):
     d, p = model.d, model.p
     rows = []
     for x, e in zip(covariate_block(path, model), scaled_increments(path)):
-        s = np.asarray(model.S(x, theta), dtype=float).reshape(d, d)
-        ds = np.asarray(model.dS(x, theta), dtype=float).reshape(p, d, d)
+        s = model.s_values(x[None], theta).reshape(d, d)
+        ds = model.ds_values(x[None], theta).reshape(p, d, d)
         sign, log_det = np.linalg.slogdet(s)
         assert sign > 0
         sinv = np.linalg.inv(s)
@@ -224,8 +225,9 @@ def objective_reference(path, model, theta, config):
 
 def euler_reference(scenario, replication=0) -> np.ndarray:
     """Observed responses of a spike-free self-response scenario from the
-    full-grid Euler loop: sqrt of the pointwise S at every fine step, all
-    n * substeps + 1 fine values stored, then every substeps-th one taken."""
+    full-grid Euler loop: sqrt of a one-row s_values block (not the loop's
+    sigma) at every fine step, all n * substeps + 1 fine values stored, then
+    every substeps-th one taken."""
     assert scenario.spike is None
     m = scenario.n * scenario.substeps
     fine_h = scenario.T / m
@@ -240,6 +242,6 @@ def euler_reference(scenario, replication=0) -> np.ndarray:
     y_fine[0] = y = float(scenario.y0)
     for i, (w, jd) in enumerate(zip(dw.tolist(), jump_deltas.tolist()), 1):
         mu = y if drift_on else 0.0
-        y = y + mu * fine_h + math.sqrt(model.S((y,), theta)) * w + jd
+        y = y + mu * fine_h + math.sqrt(model.s_values(np.array([[y]]), theta)[0]) * w + jd
         y_fine[i] = y
     return y_fine[::scenario.substeps]

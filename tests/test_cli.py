@@ -378,6 +378,23 @@ class TestClusterCommand:
         assert capsys.readouterr().err == said + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, said", [
+        (["--k", "1"], "error: --k must be at least 2, got 1"),
+        (["--kmeans-seed", "-1"], "error: --kmeans-seed must be non-negative, got -1"),
+    ])
+    def test_unusable_k_or_seed_exits_2_before_the_simulation(self, flags, said, tmp_path,
+                                                              capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the path was simulated or fitted before the flags were checked")
+
+        monkeypatch.setattr(cli_mod, "simulate", no_run)
+        monkeypatch.setattr(cli_mod, "estimate", no_run)
+        out = tmp_path / "cl"
+        assert run(["cluster", "--preset", "sec6-1-spike", "--n", "200",
+                    *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == said + "\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("preset, seed, abrupt", [
         ("sec6-1-clean", "3", False), ("sec6-1-spike", "8", True),
     ])

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ class TestOptimizer:
 
     def test_theta_stays_in_box(self, rng):
         box = ParameterBox(lower=[-0.5] * 3, upper=[0.5] * 3, initial=[0.0] * 3)
-        model = make_builtin("exp-linear-3", box)
+        model = replace(make_builtin("exp-linear-3"), box=box)
         path, _ = make_exp_linear_path(rng, n=200)
         res = estimate(path, model, RobustConfig.gqlf())
         assert np.all((box.lower <= res.theta_hat) & (res.theta_hat <= box.upper))

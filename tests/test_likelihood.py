@@ -167,7 +167,7 @@ class TestBoundedness:
             n=path.n, T=path.T, times=path.times,
             covariates=path.covariates, responses=contaminated,
         )
-        s_last = model.S(path.covariates[-2], theta)
+        s_last = model.s_values(path.covariates[-2:-1], theta)[0]
         width = s_last ** (-lam / 2.0) * (2 * np.pi) ** (-lam / 2.0) / lam
         assert abs(objective(bad, model, theta, DP(lam)) - base_dp) <= width + 1e-12
         assert abs(objective(bad, model, theta, GQLF) - base_gq) > 1e6

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from hypothesis import strategies as st
 
 from rvolest import (
     BUILTIN_NAMES,
+    ModelSpec,
     ParameterBox,
     UnknownModel,
+    estimate,
     make_builtin,
+    residuals,
 )
+from rvolest.likelihood import ObservationPath, RobustConfig
 from rvolest.model import CovariateSource
 
 
@@ -31,27 +36,37 @@ def fd_grad(f, theta, step=1e-6):
     return np.array(grad)
 
 
+def s_at(model, x, theta):
+    """S at one covariate row, from a one-row block."""
+    return model.s_values(np.atleast_2d(np.asarray(x, dtype=float)), theta)[0]
+
+
+def ds_at(model, x, theta):
+    """dS at one covariate row, from a one-row block."""
+    return model.ds_values(np.atleast_2d(np.asarray(x, dtype=float)), theta)[0]
+
+
 class TestBuiltins:
     def test_exp_linear_point_values(self):
         m = make_builtin("exp-linear-3")
         x = np.array([1.0, 0.0, 0.0])
-        assert m.S(x, np.array([-2.0, 3.0, 0.0])) == pytest.approx(np.exp(-2.0), rel=1e-12)
-        assert m.S(x, np.array([-2.0, 3.0, 0.0])) == pytest.approx(0.135335, abs=1e-6)
+        assert s_at(m, x, np.array([-2.0, 3.0, 0.0])) == pytest.approx(np.exp(-2.0), rel=1e-12)
+        assert s_at(m, x, np.array([-2.0, 3.0, 0.0])) == pytest.approx(0.135335, abs=1e-6)
         # derivative of exp at theta = 0 equals x_1 * S = 1
-        assert m.dS(x, np.zeros(3))[0] == pytest.approx(1.0, rel=1e-12)
+        assert ds_at(m, x, np.zeros(3))[0] == pytest.approx(1.0, rel=1e-12)
         assert m.covariate_source is CovariateSource.EXTERNAL
 
     def test_rational_point_values(self):
         m = make_builtin("rational-diffusion")
-        assert m.S(np.array([0.0]), np.array([2.0, 3.0])) == pytest.approx(4.0, rel=1e-12)
+        assert s_at(m, [0.0], np.array([2.0, 3.0])) == pytest.approx(4.0, rel=1e-12)
         # far out in y, sigma -> theta_2
-        assert m.S(np.array([100.0]), np.array([2.0, 3.0])) == pytest.approx(9.0, rel=1e-3)
+        assert s_at(m, [100.0], np.array([2.0, 3.0])) == pytest.approx(9.0, rel=1e-3)
         assert m.covariate_source is CovariateSource.SELF_RESPONSE
 
     def test_const_levy(self):
         m = make_builtin("const-levy")
         for x in (np.array([0.0]), np.array([42.0])):
-            assert m.S(x, np.array([0.7])) == pytest.approx(np.exp(0.7), rel=1e-12)
+            assert s_at(m, x, np.array([0.7])) == pytest.approx(np.exp(0.7), rel=1e-12)
 
     def test_unknown_model(self):
         with pytest.raises(UnknownModel):
@@ -64,30 +79,17 @@ class TestBuiltins:
         worst = 0.0
         for _ in range(100):
             x, theta = random_args(rng, m)
-            analytic = np.asarray(m.dS(x, theta), dtype=float).reshape(m.p)
-            numeric = fd_grad(lambda th: float(np.asarray(m.S(x, th))), theta)
+            analytic = ds_at(m, x, theta)
+            numeric = fd_grad(lambda th: float(s_at(m, x, th)), theta)
             scale = max(1.0, np.abs(analytic).max())
             worst = max(worst, np.abs(analytic - numeric).max() / scale)
         assert worst < 1e-5
-
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_batch_matches_pointwise(self, name, rng):
-        m = make_builtin(name)
-        xs = np.array([random_args(rng, m)[0] for _ in range(30)])
-        theta = random_args(rng, m)[1]
-        batch_s = m.s_values(xs, theta)
-        batch_ds = m.ds_values(xs, theta)
-        for j in range(30):
-            assert batch_s[j] == pytest.approx(float(np.asarray(m.S(xs[j], theta))), rel=1e-14)
-            np.testing.assert_allclose(
-                batch_ds[j], np.asarray(m.dS(xs[j], theta)).reshape(m.p), rtol=1e-14
-            )
 
     def test_exp_linear_positive(self, rng):
         m = make_builtin("exp-linear-3")
         for _ in range(200):
             x, theta = random_args(rng, m)
-            assert m.S(x, theta) > 0.0
+            assert s_at(m, x, theta) > 0.0
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_s_positive_at_every_box_corner(self, name):
@@ -102,7 +104,7 @@ class TestBuiltins:
         for corner in itertools.product(*zip(m.box.lower, m.box.upper)):
             theta = np.array(corner)
             assert np.all(m.s_values(xs, theta) > 0.0), corner
-            assert all(m.S(x, theta) > 0.0 for x in xs), corner
+            assert all(s_at(m, x, theta) > 0.0 for x in xs), corner
 
     @given(theta1=st.floats(0.01, 10.0), theta2=st.floats(0.01, 10.0),
            y=st.floats(-1e6, 1e6))
@@ -112,13 +114,13 @@ class TestBuiltins:
         # sqrt(RN(s * s)) == s in binary64, so the paths keep their bits
         m = make_builtin("rational-diffusion")
         theta = (theta1, theta2)
-        assert math.sqrt(m.S(np.array([y]), theta)) == m.sigma(y, theta)
+        assert math.sqrt(s_at(m, [y], theta)) == m.sigma(y, theta)
 
     def test_rational_sigma_between_thetas(self):
         m = make_builtin("rational-diffusion")
         theta = np.array([2.0, 5.0])
         for y in np.linspace(-10, 10, 101):
-            sigma = np.sqrt(m.S(np.array([y]), theta))
+            sigma = np.sqrt(s_at(m, [y], theta))
             assert min(theta) - 1e-12 <= sigma <= max(theta) + 1e-12
 
 
@@ -146,5 +148,79 @@ class TestParameterBox:
 
     def test_custom_box_threading(self):
         box = ParameterBox(lower=[-1.0] * 3, upper=[1.0] * 3, initial=[0.1] * 3)
-        m = make_builtin("exp-linear-3", box)
+        m = replace(make_builtin("exp-linear-3"), box=box)
         assert m.box is box
+        assert make_builtin("exp-linear-3").box.lower[0] == -10.0
+
+
+def brownian_path(rng, n, d=1):
+    h = 1.0 / n
+    responses = np.vstack([np.zeros(d), np.cumsum(rng.normal(0.0, np.sqrt(h), (n, d)), axis=0)])
+    return ObservationPath(n=n, T=1.0, times=np.arange(n + 1) * h,
+                           covariates=np.zeros((n + 1, 1)), responses=responses)
+
+
+def const_model(d=1, s_path=None, ds_path=None):
+    """S = e^theta I_d with p = 1, from the given vectorized maps or correct ones."""
+    shape = (d, d) if d > 1 else ()
+    unit = np.eye(d).reshape(shape)
+
+    def good_s(xb, theta):
+        return np.exp(theta[0]) * np.broadcast_to(unit, (len(xb), *shape))
+
+    def good_ds(xb, theta):
+        return good_s(xb, theta)[:, None]
+
+    return ModelSpec(name=f"const-{d}d", d=d, p=1, cov_dim=1,
+                     box=ParameterBox([-2.0], [2.0], [0.5]),
+                     s_path=s_path or good_s, ds_path=ds_path or good_ds)
+
+
+class TestModelContract:
+    def test_builtins_are_shared_read_only_records(self):
+        for name in BUILTIN_NAMES:
+            m = make_builtin(name)
+            assert make_builtin(name) is m
+            assert not m.box.lower.flags.writeable
+
+    def test_a_family_gives_some_form_of_s_and_of_ds(self):
+        m = const_model()
+        with pytest.raises(ValueError, match="neither s_path nor S"):
+            replace(m, s_path=None)
+        with pytest.raises(ValueError, match="neither ds_path nor dS"):
+            replace(m, ds_path=None)
+
+    def test_box_length_must_equal_p(self):
+        short = ParameterBox([-1.0], [1.0], [0.0])
+        with pytest.raises(ValueError, match="'short' has p = 2, its box has 1 entries"):
+            replace(const_model(), name="short", p=2, box=short)
+        with pytest.raises(ValueError, match="p = 3, its box has 1 entries"):
+            replace(make_builtin("exp-linear-3"), box=short)
+
+    def test_well_shaped_maps_fit(self, rng):
+        for d in (1, 2):
+            res = estimate(brownian_path(rng, 300, d), const_model(d), RobustConfig.gqlf())
+            assert res.gamma_hat.shape == (1, 1)
+
+    @pytest.mark.parametrize("d, which, bad", [
+        (1, "ds_path", lambda xb, theta: np.full(len(xb), np.exp(theta[0]))),
+        (1, "s_path", lambda xb, theta: np.full((len(xb), 1), np.exp(theta[0]))),
+        (2, "s_path", lambda xb, theta: np.exp(theta[0]) * np.ones((len(xb), 4))),
+        (2, "ds_path", lambda xb, theta: np.exp(theta[0]) * np.ones((len(xb), 2, 2))),
+    ], ids=["d1-ds-flat", "d1-s-column", "d2-s-flat", "d2-ds-no-p-axis"])
+    def test_misshaped_vectorized_map_is_rejected(self, d, which, bad, rng):
+        # unchecked, a d = 1 ds_path of shape (n,) gives a "converged" fit with
+        # an n x n gamma_hat, and an s_path of shape (n, 1) an n x n residual array
+        model = const_model(d, **{which: bad})
+        path = brownian_path(rng, 300, d)
+        want = {"s_path": (300,) if d == 1 else (300, d, d),
+                "ds_path": (300, 1) if d == 1 else (300, 1, d, d)}[which]
+        said = (f"model 'const-{d}d': {which} returned shape "
+                f"{np.shape(bad(np.zeros((300, 1)), [0.0]))}, expected {want}")
+        calls = [lambda: estimate(path, model, RobustConfig.gqlf())]
+        if which == "s_path":
+            calls.append(lambda: residuals(path, model, np.zeros(1)))
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == said

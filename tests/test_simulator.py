@@ -192,8 +192,8 @@ class TestSimulate:
         calls = []
         real_make_builtin = simulator.make_builtin
 
-        def counting_make_builtin(name, box=None):
-            model = real_make_builtin(name, box)
+        def counting_make_builtin(name):
+            model = real_make_builtin(name)
 
             def counting_sigma(y, theta):
                 calls.append((y, theta))
