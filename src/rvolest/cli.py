@@ -60,7 +60,7 @@ def _resolve_threads(value) -> int:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]  # an empty item is an error
     except ValueError as exc:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
 
@@ -112,7 +112,7 @@ def _load_scenario(args) -> Scenario:
 def _make_configs(variants: str, lambdas: str) -> list[RobustConfig]:
     configs: list[RobustConfig] = []
     lam_values = _parse_float_list(lambdas, "--lambda")
-    for name in [v.strip() for v in variants.split(",") if v.strip()]:
+    for name in [v.strip() for v in variants.split(",")]:
         if name == "gqlf":
             configs.append(RobustConfig.gqlf())
         elif name == "dp":
@@ -120,7 +120,8 @@ def _make_configs(variants: str, lambdas: str) -> list[RobustConfig]:
         elif name == "holder":
             configs.extend(RobustConfig.hoelder(lam) for lam in lam_values)
         else:
-            raise ValueError(f"unknown variant {name!r} (gqlf, dp, holder)")
+            raise ValueError(f"--variant has an unknown or empty item {name!r} "
+                             "(gqlf, dp, holder)")
     if not configs:
         raise ValueError("no estimator configured")
     return configs
@@ -218,6 +219,7 @@ def _result_to_dict(res, model_name: str, n: int, T: float) -> dict:
         "alpha": res.alpha,
         "converged": res.converged,
         "iterations": res.iterations,
+        "nfev": res.nfev,
         "projected_grad_norm": res.projected_grad_norm,
         "boundary_active": [bool(b) for b in res.boundary_active],
         "used_fallback": res.used_fallback,

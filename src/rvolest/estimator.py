@@ -11,21 +11,20 @@ other point S and dS are evaluated once more.  scipy is imported by the
 functions that use it, so `import rvolest` does not load it.
 
 Plug-in asymptotic matrices replace (1/T) integral g(X_t, theta_0) dt by
-(1/n) sum_j g(x_{j-1}, theta_hat):
+(1/n) sum_j g(x_{j-1}, theta_hat).  With t_k = tr(S^{-1} d_k S),
+v_kl = tr(S^{-1} d_k S S^{-1} d_l S) and the averages V_e = avg dd^e v and
+TT_e = avg dd^e t t', the Fisher matrix is V_0 / 2, and so are Gamma and Sigma
+for the plain GQLF (their lam -> 0 limit).  A robust variant is one row
+(g, c_g, s, c_s) of a table:
 
-  fisher   I_kl      = avg  v_kl / 2
-  dp       Gamma_kl  = K_lam/(lam+1)   * avg dd^{-lam/2} (v_kl + lam^2/2 t_k t_l) / 2
-           Sigma_kl  = K_2lam/(2lam+1) * avg dd^{-lam}   v_kl / 2
-                       + eps'(lam)/4   * avg dd^{-lam}   t_k t_l
-  hoelder  Gamma_kl  = K_lam/(lam+1)   * avg dd^{-lam/(2(lam+1))} v_kl / 2
-           Sigma_kl  = K_2lam/(2lam+1) * avg dd^{-lam/(lam+1)}    v_kl / 2
-                       + eps''(lam)    * avg dd^{-lam/(lam+1)}    t_k t_l
+  Gamma = K_lam/(lam+1) (V_g / 2 + c_g TT_g),  Sigma = K_2lam/(2lam+1) V_s / 2 + c_s TT_s
+  dp       (-lam/2,          lam^2/4, -lam,         eps'(lam)/4)
+  hoelder  (-lam/(2(lam+1)), 0,       -lam/(lam+1), eps''(lam))
 
-with t_k = tr(S^{-1} d_k S) and v_kl = tr(S^{-1} d_k S S^{-1} d_l S), read
-from likelihood's per-increment record: v_kl = tr(A_k A_l) from its whitened
-derivatives, or t_k t_l for d = 1.  Both Gamma and Sigma tend to the Fisher
-matrix as lam -> 0.  The sandwich avar = Gamma^{-1} Sigma Gamma^{-1} feeds
-the normal confidence intervals theta_hat_i +/- z_{1-alpha/2} sqrt(avar_ii / n).
+For d = 1, v = t t', so each matrix is a scalar times one weighted Gram
+product (t w).' t / n; for d >= 2, v_kl = tr(A_k A_l) from the record's
+whitened derivatives and V_e = w @ v / n.  The sandwich avar = Gamma^{-1} Sigma
+Gamma^{-1} gives the intervals theta_hat_i +/- z_{1-alpha/2} sqrt(avar_ii / n).
 """
 
 from __future__ import annotations
@@ -55,6 +54,8 @@ class OptimizerOptions:
     max_iters: int = 500
 
     def __post_init__(self):
+        if self.initial is not None and not np.isfinite(self.initial).all():
+            raise ValueError(f"initial must be finite, got {np.asarray(self.initial).tolist()}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if isinstance(self.max_iters, bool) or not (
@@ -75,6 +76,7 @@ class EstimationResult:
     alpha: float
     converged: bool
     iterations: int
+    nfev: int                      # objective evaluations, the plug-in step's excluded
     projected_grad_norm: float
     boundary_active: np.ndarray    # bool per coordinate
     negative_variance: list[int] = field(default_factory=list)
@@ -91,49 +93,44 @@ def check_taper_schedule(n: int, lam: float, kappa: float = 1.0, T: float = 1.0)
     return float(np.sqrt(n) * (T / n) ** kappa / lam)
 
 
+# variant -> (Gamma weight exponent, Gamma t t' coef, Sigma weight exponent, Sigma t t' coef)
+_VARIANT_TABLE = {
+    Variant.DENSITY_POWER: lambda lam, d: (-0.5 * lam, 0.25 * lam**2, -lam,
+                                           0.25 * eps_prime(lam, d)),
+    Variant.HOELDER: lambda lam, d: (-0.5 * lam / (lam + 1.0), 0.0, -lam / (lam + 1.0),
+                                     eps_dprime(lam, d)),
+}
+
+
 def plugin_matrices(path, model, theta_hat, config: RobustConfig, *, record=None):
     """(gamma_hat, sigma_hat, fisher_hat) at theta_hat for the given variant.
 
-    For the plain GQLF both Gamma and Sigma coincide with the Fisher matrix
-    (the lam -> 0 limit of either robust family).  ``record`` is likelihood's
-    per-increment record already evaluated at exactly theta_hat; without it
-    S and dS are evaluated here.
+    ``record`` is likelihood's per-increment record already evaluated at
+    exactly theta_hat; without it S and dS are evaluated here.
     """
     inc = _increments(path, model, theta_hat) if record is None else record
-    n, d, p = path.n, model.d, model.p
-    outer_t = inc.t[:, :, None] * inc.t[:, None, :]
-    if d == 1:
-        v = outer_t
-    else:
+    n, d, p, t = path.n, model.d, model.p, inc.t
+    if d > 1:
         flat = inc.a.reshape(n, p, d * d)
-        v = flat @ flat.transpose(0, 2, 1)  # tr(A_k A_l), A_l symmetric
-    fisher = 0.5 * v.mean(axis=0)
+        v = (flat @ flat.transpose(0, 2, 1)).reshape(n, p * p)  # tr(A_k A_l), A_l symmetric
 
+    def average(exponent, v_coef, tt_coef):
+        """v_coef V + tt_coef TT with the weights dd^exponent (none at 0), symmetrized."""
+        w = np.exp(exponent * inc.log_det) if exponent else None
+        tt = (t if w is None else t * w[:, None]).T @ t / n
+        vbar = tt if d == 1 else ((v.sum(axis=0) if w is None else w @ v) / n).reshape(p, p)
+        out = v_coef * vbar + tt_coef * tt
+        return 0.5 * (out + out.T)
+
+    fisher = average(0.0, 0.5, 0.0)
     if config.variant is Variant.GQLF:
         return fisher.copy(), fisher.copy(), fisher
-
     lam = config.lam
-    k1 = k_const(lam, d)
-    k2 = k_const(2.0 * lam, d)
-    if config.variant is Variant.DENSITY_POWER:
-        w_gamma = np.exp(-0.5 * lam * inc.log_det)
-        w_sigma = np.exp(-lam * inc.log_det)
-        gamma = (k1 / (lam + 1.0)) * 0.5 * np.einsum(
-            "j,jkl->kl", w_gamma, v + 0.5 * lam**2 * outer_t
-        ) / n
-        sigma = (
-            (k2 / (2.0 * lam + 1.0)) * 0.5 * np.einsum("j,jkl->kl", w_sigma, v) / n
-            + 0.25 * eps_prime(lam, d) * np.einsum("j,jkl->kl", w_sigma, outer_t) / n
-        )
-    else:
-        w_gamma = np.exp(-0.5 * lam / (lam + 1.0) * inc.log_det)
-        w_sigma = np.exp(-lam / (lam + 1.0) * inc.log_det)
-        gamma = (k1 / (lam + 1.0)) * 0.5 * np.einsum("j,jkl->kl", w_gamma, v) / n
-        sigma = (
-            (k2 / (2.0 * lam + 1.0)) * 0.5 * np.einsum("j,jkl->kl", w_sigma, v) / n
-            + eps_dprime(lam, d) * np.einsum("j,jkl->kl", w_sigma, outer_t) / n
-        )
-    return 0.5 * (gamma + gamma.T), 0.5 * (sigma + sigma.T), fisher
+    g_exp, g_tt, s_exp, s_tt = _VARIANT_TABLE[config.variant](lam, d)
+    g_scale = k_const(lam, d) / (lam + 1.0)
+    gamma = average(g_exp, 0.5 * g_scale, g_tt * g_scale)
+    sigma = average(s_exp, 0.5 * k_const(2.0 * lam, d) / (2.0 * lam + 1.0), s_tt)
+    return gamma, sigma, fisher
 
 
 def sandwich_avar(gamma: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -214,14 +211,16 @@ def estimate(
     Deterministic: identical inputs give an identical result.  theta0 (the
     true value, simulation mode) only adds the standardized statistic.
     Raises CholeskyFailure when S is not SPD at a trial point, and ValueError
-    before any fitting unless 0 < alpha < 1.
+    before any fitting unless 0 < alpha < 1 and the start point and theta0
+    are finite.
     """
     _check_alpha(alpha)
     opts = opts or OptimizerOptions()
     box = model.box
     start = box.clamp(opts.initial if opts.initial is not None else box.initial)
-    if theta0 is not None and np.shape(theta0) != (box.p,):
-        raise ValueError(f"theta0 must have {box.p} entries, got shape {np.shape(theta0)}")
+    if theta0 is not None and (np.shape(theta0) != (box.p,) or not np.isfinite(theta0).all()):
+        raise ValueError(f"theta0 must be {box.p} finite numbers, "
+                         f"got {np.asarray(theta0).tolist()}")
 
     last = []  # [theta bytes, record] of the latest evaluation
 
@@ -232,13 +231,8 @@ def estimate(
     import scipy.optimize
 
     res = scipy.optimize.minimize(
-        neg_val_grad,
-        start,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=list(zip(box.lower, box.upper)),
-        options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14},
-    )
+        neg_val_grad, start, jac=True, method="L-BFGS-B", bounds=list(zip(box.lower, box.upper)),
+        options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14})
     theta_hat = box.clamp(res.x)
     value, grad = -float(res.fun), -res.jac
     pg = _projected_grad(theta_hat, grad, box.lower, box.upper)
@@ -256,9 +250,8 @@ def estimate(
     except SingularGamma:
         ci, avar, u_stat, negative = None, None, None, []
 
-    taper = None
-    if config.variant is not Variant.GQLF:
-        taper = check_taper_schedule(path.n, config.lam, T=path.T)
+    taper = (None if config.variant is Variant.GQLF
+             else check_taper_schedule(path.n, config.lam, T=path.T))
 
     return EstimationResult(
         theta_hat=theta_hat,
@@ -272,6 +265,7 @@ def estimate(
         alpha=alpha,
         converged=converged,
         iterations=int(res.nit),
+        nfev=int(res.nfev),
         projected_grad_norm=pg_norm,
         boundary_active=boundary,
         negative_variance=negative,

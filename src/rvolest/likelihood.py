@@ -31,7 +31,7 @@ t_jk = tr A_jk.  The objective, `estimator.plugin_matrices` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,13 +46,15 @@ LAMBDA_BAR = 2.0
 
 @dataclass(frozen=True)
 class ObservationPath:
-    """Equally spaced sample (t_j, X_{t_j}, Y_{t_j}), j = 0..n, with t_j = j T / n."""
+    """Equally spaced sample (t_j, X_{t_j}, Y_{t_j}), j = 0..n, with t_j = j T / n;
+    its arrays, and eps (`scaled_increments`, computed once), are read-only."""
 
     n: int
     T: float
     times: np.ndarray
     covariates: np.ndarray | None
     responses: np.ndarray
+    eps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).copy()
@@ -74,11 +76,13 @@ class ObservationPath:
             if covariates.shape[0] != self.n + 1:
                 raise ValueError("covariates must have length n+1")
             covariates.setflags(write=False)
-        times.setflags(write=False)
-        responses.setflags(write=False)
+        eps = np.diff(responses, axis=0) / np.sqrt(self.T / self.n)
+        for arr in (times, responses, eps):
+            arr.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "covariates", covariates)
         object.__setattr__(self, "responses", responses)
+        object.__setattr__(self, "eps", eps)
 
     @property
     def h(self) -> float:
@@ -90,8 +94,8 @@ class ObservationPath:
 
 
 def scaled_increments(path: ObservationPath) -> np.ndarray:
-    """eps_j = h^{-1/2} (Y_{t_j} - Y_{t_{j-1}}) as an (n, d) array."""
-    return np.diff(path.responses, axis=0) / np.sqrt(path.h)
+    """eps_j = h^{-1/2} (Y_{t_j} - Y_{t_{j-1}}) as a read-only (n, d) array."""
+    return path.eps
 
 
 class Variant(enum.Enum):
@@ -171,9 +175,8 @@ def _increments(path, model, theta, whiten_only: bool = False) -> _Increments:
     if model.d == 1:
         eps = eps[:, 0]
         s = model.s_values(x_block, theta)
-        bad = ~(np.isfinite(s) & (s > 0.0))
-        if np.any(bad):
-            raise CholeskyFailure(index=int(np.argmax(bad)) + 1)
+        if not (s.min() > 0.0 and s.max() < np.inf):  # also false on NaN
+            raise CholeskyFailure(index=int(np.argmax(~(np.isfinite(s) & (s > 0.0)))) + 1)
         if whiten_only:
             return _Increments(eps, s=s)
         t = model.ds_values(x_block, theta) / s[:, None]
@@ -191,24 +194,32 @@ def _increments(path, model, theta, whiten_only: bool = False) -> _Increments:
 
 
 def _objective_d1(inc: _Increments, config: RobustConfig):
-    """Closed-form d = 1 objective and gradient; returns (value, grad)."""
+    """Closed-form d = 1 (value, grad).  Scratch arrays are written in place, in the
+    operation order of the expressions in the comments; the record is only read."""
     q, log_s, t = inc.quad, inc.log_det, inc.t
-
-    if config.variant is Variant.GQLF:
-        return -0.5 * float(np.sum(log_s + q)), -0.5 * ((1.0 - q) @ t)
-
+    if config.variant is Variant.GQLF:  # -sum(log_s + q) / 2, -((1 - q) @ t) / 2
+        buf = np.add(log_s, q)
+        return -0.5 * float(np.sum(buf)), -0.5 * (np.subtract(1.0, q, out=buf) @ t)
     lam = config.lam
-    w = np.exp(-0.5 * lam * (LOG_2PI + q))  # phi(S^{-1/2} eps)^lam, d = 1
+    w = np.add(q, LOG_2PI)  # w = exp(-lam/2 (LOG_2PI + q)) = phi(S^{-1/2} eps)^lam
+    np.exp(np.multiply(w, -0.5 * lam, out=w), out=w)
     if config.variant is Variant.DENSITY_POWER:
         kconst = k_const(lam, 1)
-        det_taper = np.exp(-0.5 * lam * log_s)
-        value = float(np.sum(det_taper * (w / lam - kconst)))
-        return value, 0.5 * ((det_taper * (w * (q - 1.0) + lam * kconst)) @ t)
+        taper = np.multiply(log_s, -0.5 * lam)  # taper = exp(-lam/2 log_s)
+        np.exp(taper, out=taper)
+        buf = np.divide(w, lam)  # value = sum(taper (w / lam - kconst))
+        buf -= kconst
+        value = float(np.sum(np.multiply(buf, taper, out=buf)))
+        np.subtract(q, 1.0, out=buf)  # grad = (taper (w (q - 1) + lam kconst)) @ t / 2
+        buf *= w
+        buf += lam * kconst
+        return value, 0.5 * (np.multiply(buf, taper, out=buf) @ t)
 
-    # Hoelder-based
-    det_taper = np.exp(-0.5 * lam / (lam + 1.0) * log_s)
-    value = float(np.sum(det_taper * w)) / lam
-    return value, 0.5 * ((det_taper * w * (q - 1.0 / (lam + 1.0))) @ t)
+    # Hoelder-based: value = sum(taper w) / lam, grad = (taper w (q - 1/(lam+1))) @ t / 2
+    taper = np.multiply(log_s, -0.5 * lam / (lam + 1.0))  # taper = exp(-lam/(2(lam+1)) log_s)
+    np.multiply(np.exp(taper, out=taper), w, out=taper)
+    np.subtract(q, 1.0 / (lam + 1.0), out=w)
+    return float(np.sum(taper)) / lam, 0.5 * (np.multiply(w, taper, out=w) @ t)
 
 
 def _objective_matrix(inc: _Increments, d: int, config: RobustConfig):

@@ -177,8 +177,11 @@ def _rational_s(xb, theta):
 
 def _rational_ds(xb, theta):
     g1, g2 = _rational_parts(xb)
-    sig = theta[0] * g1 + theta[1] * g2
-    return np.stack([2.0 * sig * g1, 2.0 * sig * g2], axis=1)
+    two_sig = 2.0 * (theta[0] * g1 + theta[1] * g2)
+    out = np.empty((len(g1), 2))
+    np.multiply(two_sig, g1, out=out[:, 0])
+    np.multiply(two_sig, g2, out=out[:, 1])
+    return out
 
 
 def _const_levy_s(xb, theta):

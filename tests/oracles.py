@@ -5,8 +5,9 @@ for d=2) so the shipped closed forms are always checked against a separate
 computation path; the three Gaussian moment identities, written in terms of
 the library's k_const, are checked against it.  A per-increment slogdet/inv
 loop checks the batched Cholesky kernel, a finite-difference Hessian of the
-analytic gradient checks the plug-in curvature matrices, and a full-grid
-Euler loop checks the simulator's self-response loop.
+analytic gradient checks the plug-in curvature matrices, an einsum over
+(n, p, p) stacks checks their weighted Gram products, and a full-grid Euler
+loop checks the simulator's self-response loop.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from rvolest import (
     rng_stream,
     value_and_grad,
 )
-from rvolest.likelihood import covariate_block, scaled_increments
-from rvolest.mathcore import LOG_2PI, chol_spd
+from rvolest.likelihood import _increments, covariate_block, scaled_increments
+from rvolest.mathcore import LOG_2PI, chol_spd, eps_dprime, eps_prime
 from rvolest.simulator import _jump_deltas
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(240)
@@ -221,6 +222,40 @@ def objective_reference(path, model, theta, config):
     taper = np.exp(-0.5 * lam / (lam + 1.0) * log_det)
     grad = 0.5 * (taper * w)[:, None] * (u - t / (lam + 1.0))
     return np.sum(taper * w) / lam, np.sum(grad, axis=0)
+
+
+def plugin_matrices_einsum(path, model, theta_hat, config):
+    """(gamma, sigma, fisher) from (n, p, p) stacks of v_kl and t_k t_l, each
+    weighted average an einsum over the increments."""
+    inc = _increments(path, model, theta_hat)
+    n, d, p = path.n, model.d, model.p
+    outer_t = inc.t[:, :, None] * inc.t[:, None, :]
+    if d == 1:
+        v = outer_t
+    else:
+        flat = inc.a.reshape(n, p, d * d)
+        v = flat @ flat.transpose(0, 2, 1)  # tr(A_k A_l), A_l symmetric
+    fisher = 0.5 * v.mean(axis=0)
+    if config.variant is Variant.GQLF:
+        return fisher.copy(), fisher.copy(), fisher
+
+    lam = config.lam
+    k1 = k_const(lam, d)
+    k2 = k_const(2.0 * lam, d)
+    if config.variant is Variant.DENSITY_POWER:
+        w_gamma = np.exp(-0.5 * lam * inc.log_det)
+        w_sigma = np.exp(-lam * inc.log_det)
+        gamma = (k1 / (lam + 1.0)) * 0.5 * np.einsum(
+            "j,jkl->kl", w_gamma, v + 0.5 * lam**2 * outer_t) / n
+        sigma = ((k2 / (2.0 * lam + 1.0)) * 0.5 * np.einsum("j,jkl->kl", w_sigma, v) / n
+                 + 0.25 * eps_prime(lam, d) * np.einsum("j,jkl->kl", w_sigma, outer_t) / n)
+    else:
+        w_gamma = np.exp(-0.5 * lam / (lam + 1.0) * inc.log_det)
+        w_sigma = np.exp(-lam / (lam + 1.0) * inc.log_det)
+        gamma = (k1 / (lam + 1.0)) * 0.5 * np.einsum("j,jkl->kl", w_gamma, v) / n
+        sigma = ((k2 / (2.0 * lam + 1.0)) * 0.5 * np.einsum("j,jkl->kl", w_sigma, v) / n
+                 + eps_dprime(lam, d) * np.einsum("j,jkl->kl", w_sigma, outer_t) / n)
+    return 0.5 * (gamma + gamma.T), 0.5 * (sigma + sigma.T), fisher
 
 
 def euler_reference(scenario, replication=0) -> np.ndarray:

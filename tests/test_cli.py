@@ -205,6 +205,7 @@ class TestEstimateCommand:
                     "--out", out]) == 0
         blob = json.loads((out / "estimate.json").read_text())
         assert blob["variant"] == "holder"
+        assert isinstance(blob["nfev"], int) and blob["nfev"] >= blob["iterations"] >= 1
         assert abs(blob["theta_hat"][0] + 2.0) < 1.0
 
     def test_gqlf_inflated_by_jumps_on_jumpdiff(self, tmp_path):
@@ -430,6 +431,29 @@ def test_bad_argument_exits_2_with_one_line(argv, tmp_path, capsys):
     assert run([*argv, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+JUMPDIFF = ["--preset", "sec6-5-jumpdiff", "--n", "300"]
+
+
+@pytest.mark.parametrize("argv, said", [
+    (["estimate", *JUMPDIFF, "--init", "nan,5"], "initial must be finite"),
+    (["estimate", *JUMPDIFF, "--init", "5,-inf"], "initial must be finite"),
+    (["estimate", *JUMPDIFF, "--true-theta", "nan,3"], "theta0 must be 2 finite numbers"),
+    (["estimate", *JUMPDIFF, "--init", "5,,5"], "--init "),
+    (["estimate", *JUMPDIFF, "--true-theta", "2,3,"], "--true-theta "),
+    (["montecarlo", *JUMPDIFF, "--reps", "2", "--lambda", "0.1,,0.5"], "--lambda "),
+    (["montecarlo", *JUMPDIFF, "--reps", "2", "--variant", "gqlf,,dp"], "--variant "),
+], ids=["init-nan", "init-inf", "true-theta-nan", "init-empty-item",
+        "true-theta-trailing-comma", "mc-lambda-empty-item", "mc-variant-empty-item"])
+def test_non_finite_or_empty_item_exits_2_naming_it(argv, said, tmp_path, capsys):
+    # a NaN start used to fail as "matrix not SPD" (exit 1), a NaN truth wrote
+    # NaN statistics (exit 0), and an empty list item was dropped (exit 0)
+    out = tmp_path / "o"
+    assert run([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {said}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 PATH_CSV = "j,t,Y_1\n0,0.0,0.0\n1,0.5,0.1\n2,1.0,0.3\n"

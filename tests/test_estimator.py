@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import make_exp_linear_path
-from oracles import hess_objective
+from oracles import hess_objective, plugin_matrices_einsum
 
 import rvolest.estimator as estimator_mod
 from rvolest import (
@@ -49,13 +49,36 @@ class TestOptimizer:
     @pytest.mark.parametrize("fields, said", [
         ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": np.nan}, "tol"),
         ({"max_iters": 0}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
-        ({"max_iters": True}, "max_iters"),
+        ({"max_iters": True}, "max_iters"), ({"initial": np.array([np.nan, 5.0])}, "initial"),
+        ({"initial": [0.0, np.inf, 0.0]}, "initial"),
     ], ids=["tol-negative", "tol-zero", "tol-nan", "max-iters-zero", "max-iters-fraction",
-            "max-iters-bool"])
+            "max-iters-bool", "initial-nan", "initial-inf"])
     def test_options_that_cannot_work_are_rejected(self, fields, said):
         # a negative tol used to report every start as converged
         with pytest.raises(ValueError, match=f"^{said} must be"):
             OptimizerOptions(**fields)
+
+    @pytest.mark.parametrize("theta0", [[np.nan, 3.0, 0.0], [-2.0, -np.inf, 0.0]],
+                             ids=["nan", "inf"])
+    def test_non_finite_theta0_is_rejected_before_the_fit(self, theta0, rng, monkeypatch):
+        # a NaN truth used to give NaN standardized statistics without a word
+        path, model = make_exp_linear_path(rng, n=100)
+        monkeypatch.setattr(estimator_mod, "value_and_grad", None)  # never reached
+        with pytest.raises(ValueError, match=r"^theta0 must be 3 finite numbers"):
+            estimate(path, model, RobustConfig.gqlf(), theta0=np.array(theta0))
+
+    def test_nfev_counts_the_objective_evaluations(self, rng, monkeypatch):
+        path, model = make_exp_linear_path(rng, n=300, spikes=2)
+        calls = []
+        original = estimator_mod.value_and_grad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimator_mod, "value_and_grad", counting)
+        res = estimate(path, model, RobustConfig.density_power(0.5))
+        assert res.nfev == len(calls) >= res.iterations >= 1
 
     def test_interior_argmax_exact(self):
         # const-levy GQLF is -(n/2)(theta + C e^{-theta}) with argmax log C
@@ -334,9 +357,9 @@ def _golden_path(kind):
 
 
 @pytest.mark.parametrize("kind, expected", [
-    ("external", "40db0c2e4023937631f86f4bf68fa2a38351c65121285709261d03167fa6b721"),
-    ("self-response", "d20a3bcdfd8fb1f60c6c3d35135aa027e75c5ea7c8b94f63caa1da5cb17435d3"),
-    ("d2", "c6d2de6150ae9df3e2cf998d486be92e458ad68bc00d0c9b2b849f8d7e016c3b"),
+    ("external", "bfb6b5ef37cd15b718b05b33ed717ea96de0d9a094c13651a2e8cf6055050442"),
+    ("self-response", "e9893593eadc22a8a5b602e662458a3082818d26f1146230e39f9cc82cd0a85c"),
+    ("d2", "dfb2c1cdd1c6239a326225e3242dd1bff4e50813cc81fbe9c85e3cafaf6f3ce2"),
 ])
 def test_estimation_layer_keeps_its_bits(kind, expected):
     # sha256 of the objective at a fixed theta, of every fit output and of the
@@ -353,6 +376,44 @@ def test_estimation_layer_keeps_its_bits(kind, expected):
                     residuals(path, model, res.theta_hat)):
             digest.update(np.asarray(arr, dtype=float).tobytes())
     assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("external", "3fc1f0382f94c4eb86c722e7d1ed9588006dfe5be450b371d9841e944fbda394"),
+    ("self-response", "70f3f9b42aa07f6034296443bb5965079e66a0a8d2210484422e27f8b9522a76"),
+    ("d2", "1a6b0d37b1a4110c58bdeaaabd397cd8f0f51896d64aeef63ee19770b18d1230"),
+])
+def test_fit_keeps_its_bits(kind, expected):
+    # sha256 of the objective at a fixed theta, of theta_hat, of the objective
+    # there and of the residuals, for gqlf, dp and holder: a faster objective
+    # or plug-in step must not move theta_hat by one bit
+    path, model, theta = _golden_path(kind)
+    digest = hashlib.sha256()
+    for config in (RobustConfig.gqlf(), RobustConfig.density_power(0.5),
+                   RobustConfig.hoelder(0.5)):
+        value, grad = value_and_grad(path, model, theta, config)
+        res = estimate(path, model, config)
+        for arr in (value, grad, res.theta_hat, res.objective_value,
+                    residuals(path, model, res.theta_hat)):
+            digest.update(np.asarray(arr, dtype=float).tobytes())
+    assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize("kind", ["external", "self-response", "d2"])
+@pytest.mark.parametrize("config", [RobustConfig.gqlf(), RobustConfig.density_power(0.1),
+                                    RobustConfig.density_power(0.5),
+                                    RobustConfig.hoelder(0.5)],
+                         ids=["gqlf", "dp0.1", "dp0.5", "holder"])
+def test_plugin_matrices_match_the_einsum_oracle(kind, config):
+    # each weighted Gram product agrees with the (n, p, p) einsum within
+    # 1e-12 of the matrix's largest entry
+    path, model, theta = _golden_path(kind)
+    got = plugin_matrices(path, model, theta, config)
+    for mine, want in zip(got, plugin_matrices_einsum(path, model, theta, config)):
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        assert np.abs(mine - want).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(mine, mine.T)
 
 
 def _reuse_case(kind, rng):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rvolest import (
     Scenario,
     Variant,
     estimate,
+    get_preset,
     k_const,
     make_builtin,
     plugin_matrices,
@@ -25,7 +27,7 @@ from rvolest import (
     simulate,
     value_and_grad,
 )
-from rvolest.likelihood import LAMBDA_BAR
+from rvolest.likelihood import LAMBDA_BAR, _increments
 
 GQLF = RobustConfig.gqlf()
 DP = RobustConfig.density_power
@@ -275,6 +277,15 @@ class TestValidationAndErrors:
             eps[:, 0], np.diff(path.responses[:, 0]) / np.sqrt(path.h), rtol=0
         )
 
+    def test_scaled_increments_are_the_paths_read_only_array(self, rng):
+        # computed once per path: every evaluation reads the same array,
+        # and nothing can write into it
+        path, _ = make_exp_linear_path(rng, n=16)
+        eps = scaled_increments(path)
+        assert eps is scaled_increments(path) and not eps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            eps[0, 0] = 1.0
+
     def test_cholesky_failure_reports_index(self):
         model = make_builtin("rational-diffusion")
         path = ObservationPath(
@@ -374,3 +385,51 @@ class TestValidationAndErrors:
         val2, grad2 = value_and_grad(path, model, theta, config)
         assert val2 == val
         np.testing.assert_array_equal(grad2, grad)
+
+
+def _in_place_case(kind, rng):
+    if kind == "external":
+        return make_exp_linear_path(rng, n=300, spikes=2)
+    if kind == "self-response":
+        path = simulate(get_preset("sec6-5-jumpdiff", n=400, seed=3)).observed
+        return path, make_builtin("rational-diffusion")
+    from test_multidim import coupled_model, random_path
+    return random_path(rng, 200, 2, rng.uniform(-1.0, 1.0, (201, 1))), coupled_model(2)
+
+
+def _read_only(fn):
+    def frozen(x_block, theta):
+        out = np.array(fn(x_block, theta), dtype=float)
+        out.setflags(write=False)
+        return out
+    return frozen
+
+
+class TestInPlaceSafety:
+    """The objective writes only into its own scratch arrays: never into the
+    record that the plug-in step reads afterwards, nor into a model map's result."""
+
+    @pytest.mark.parametrize("kind", ["external", "self-response", "d2"])
+    @pytest.mark.parametrize("config", [GQLF, DP(0.1), DP(0.5), HO(0.5)],
+                             ids=["gqlf", "dp0.1", "dp0.5", "holder"])
+    def test_kept_record_equals_a_fresh_one(self, kind, config, rng):
+        path, model = _in_place_case(kind, rng)
+        theta = model.box.initial + 0.1
+        keep = []
+        value_and_grad(path, model, theta, config, keep=keep)
+        for got, want in zip(keep[1], _increments(path, model, theta), strict=True):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["external", "self-response"])
+    def test_read_only_model_maps_fit_with_the_same_bits(self, kind, rng):
+        path, model = _in_place_case(kind, rng)
+        frozen = replace(model, name="read-only", s_path=_read_only(model.s_path),
+                         ds_path=_read_only(model.ds_path))
+        for config in (GQLF, DP(0.1), HO(0.5)):
+            want, got = estimate(path, model, config), estimate(path, frozen, config)
+            for name in ("theta_hat", "objective_value", "gamma_hat", "sigma_hat",
+                         "fisher_hat", "ci", "nfev"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
