@@ -36,12 +36,12 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import SingularGamma
-from .likelihood import ObservationPath, RobustConfig, Variant, _increments, value_and_grad
+from .likelihood import (ObservationPath, RobustConfig, Variant, _increments, covariate_block,
+                         value_and_grad)
 from .mathcore import eps_dprime, eps_prime, k_const
 from .model import ModelSpec
 
-# Unused here; the benchmark's span list wraps them until ROADMAP item 9 retires them.
-from .likelihood import covariate_block  # noqa: F401
+# Unused here; the benchmark's span list wraps it until ROADMAP item 9 retires it.
 from .mathcore import chol_spd  # noqa: F401
 
 
@@ -102,13 +102,14 @@ _VARIANT_TABLE = {
 }
 
 
-def plugin_matrices(path, model, theta_hat, config: RobustConfig, *, record=None):
+def plugin_matrices(path, model, theta_hat, config: RobustConfig, *, record=None, features=None):
     """(gamma_hat, sigma_hat, fisher_hat) at theta_hat for the given variant.
 
     ``record`` is likelihood's per-increment record already evaluated at
-    exactly theta_hat; without it S and dS are evaluated here.
+    exactly theta_hat; without it S and dS are evaluated here, from
+    ``features`` when given.
     """
-    inc = _increments(path, model, theta_hat) if record is None else record
+    inc = _increments(path, model, theta_hat, features=features) if record is None else record
     n, d, p, t = path.n, model.d, model.p, inc.t
     if d > 1:
         flat = inc.a.reshape(n, p, d * d)
@@ -222,10 +223,11 @@ def estimate(
         raise ValueError(f"theta0 must be {box.p} finite numbers, "
                          f"got {np.asarray(theta0).tolist()}")
 
+    features = model.feature_block(covariate_block(path, model))  # theta-free: once per fit
     last = []  # [theta bytes, record] of the latest evaluation
 
     def neg_val_grad(theta):
-        val, grad = value_and_grad(path, model, theta, config, keep=last)
+        val, grad = value_and_grad(path, model, theta, config, keep=last, features=features)
         return -val, -grad
 
     import scipy.optimize
@@ -242,7 +244,8 @@ def estimate(
 
     # reuse the optimizer's record when its copied theta is theta_hat's bits
     record = last[1] if last and last[0] == theta_hat.tobytes() else None
-    gamma, sigma, fisher = plugin_matrices(path, model, theta_hat, config, record=record)
+    gamma, sigma, fisher = plugin_matrices(path, model, theta_hat, config, record=record,
+                                           features=features)
     try:
         ci, avar, u_stat, negative = confidence_intervals(
             theta_hat, gamma, sigma, path.n, alpha=alpha, theta0=theta0

@@ -21,10 +21,12 @@ np.sum (fixed pairwise topology), so results are bit-stable for a given input.
 
 One private producer, `_increments`, evaluates S(x_{j-1}, theta) and dS
 along the path, checks or factors S = L L' and rejects a path that does not
-fit the model's dimensions.  Its per-increment record holds log det S_j,
-eps_j' S_j^{-1} eps_j and t_jk = tr(S_j^{-1} d_k S_j); for d = 1 also S_j, for
-d >= 2 also z_j = L_j^{-1} eps_j and A_jk = L_j^{-1} d_k S_j L_j^{-T}, with
-t_jk = tr A_jk.  The objective, `estimator.plugin_matrices` and
+fit the model's dimensions.  S and dS read the model's theta-free features of
+the covariate block (`ModelSpec.feature_block`): `estimate` computes them once
+per fit, a one-call API once per call.  The per-increment record holds
+log det S_j, eps_j' S_j^{-1} eps_j and t_jk = tr(S_j^{-1} d_k S_j); for d = 1
+also S_j, for d >= 2 also z_j = L_j^{-1} eps_j and A_jk = L_j^{-1} d_k S_j
+L_j^{-T}, with t_jk = tr A_jk.  The objective, `estimator.plugin_matrices` and
 `clustering.residuals` read it; residuals ask only for the whitening, without dS.
 """
 
@@ -136,7 +138,11 @@ class RobustConfig:
 
 
 def covariate_block(path: ObservationPath, model: ModelSpec) -> np.ndarray:
-    """x_{j-1} for j = 1..n, read per the model's covariate convention."""
+    """x_{j-1} for j = 1..n, read per the model's covariate convention; raises
+    ValueError when the path's response, then covariate, columns do not fit."""
+    if path.d != model.d:
+        raise ValueError(f"path has {path.d} response columns, "
+                         f"model {model.name!r} has d = {model.d}")
     if model.covariate_source is CovariateSource.SELF_RESPONSE:
         return path.responses[:-1]
     if path.covariates is None:
@@ -159,34 +165,33 @@ class _Increments(NamedTuple):
     a: np.ndarray | None = None         # d >= 2: (n, p, d, d) A_jk
 
 
-def _increments(path, model, theta, whiten_only: bool = False) -> _Increments:
-    """The one evaluation of S and, unless ``whiten_only``, dS along the path.
+def _increments(path, model, theta, whiten_only: bool = False, features=None) -> _Increments:
+    """The one evaluation of S and, unless ``whiten_only``, dS along the path,
+    from the model's ``features`` of the path (computed here when absent).
 
     Raises ValueError when the path does not fit the model's dimensions, and
     CholeskyFailure with the 1-based index of the first S_j that is not SPD
     (for d = 1: not finite and positive), before dS is evaluated.
     """
-    if path.d != model.d:
-        raise ValueError(f"path has {path.d} response columns, "
-                         f"model {model.name!r} has d = {model.d}")
     theta = np.asarray(theta, dtype=float)
     x_block = covariate_block(path, model)
+    features = model.feature_block(x_block) if features is None else features
     eps = scaled_increments(path)
     if model.d == 1:
         eps = eps[:, 0]
-        s = model.s_values(x_block, theta)
+        s = model.s_values(x_block, theta, features=features)
         if not (s.min() > 0.0 and s.max() < np.inf):  # also false on NaN
             raise CholeskyFailure(index=int(np.argmax(~(np.isfinite(s) & (s > 0.0)))) + 1)
         if whiten_only:
             return _Increments(eps, s=s)
-        t = model.ds_values(x_block, theta) / s[:, None]
+        t = model.ds_values(x_block, theta, features=features) / s[:, None]
         return _Increments(eps, s=s, log_det=np.log(s), quad=eps * eps / s, t=t)
-    lower = chol_spd(model.s_values(x_block, theta))
+    lower = chol_spd(model.s_values(x_block, theta, features=features))
     z = np.linalg.solve(lower, eps[:, :, None])[:, :, 0]
     if whiten_only:
         return _Increments(eps, z=z)
     log_det = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
-    ds = model.ds_values(x_block, theta)
+    ds = model.ds_values(x_block, theta, features=features)
     half = np.linalg.solve(lower[:, None], ds)
     a = np.linalg.solve(lower[:, None], np.swapaxes(half, -1, -2))
     return _Increments(eps, z=z, log_det=log_det, quad=np.einsum("ja,ja->j", z, z),
@@ -245,7 +250,7 @@ def _objective_matrix(inc: _Increments, d: int, config: RobustConfig):
     return float(np.sum(values)), np.sum(grads, axis=0)
 
 
-def value_and_grad(path, model, theta, config, *, keep: list | None = None
+def value_and_grad(path, model, theta, config, *, keep: list | None = None, features=None
                    ) -> tuple[float, np.ndarray]:
     """Objective and its analytic gradient in one pass (shared S/dS evaluation).
 
@@ -253,9 +258,10 @@ def value_and_grad(path, model, theta, config, *, keep: list | None = None
     variant and dimension goes through it.  A ``keep`` list is set to
     ``[theta bytes, record]``: a copy of theta taken now and the
     per-increment record, which `estimator.plugin_matrices` reads at the same
-    theta instead of evaluating S and dS again.
+    theta instead of evaluating S and dS again.  `estimate` passes the
+    model's ``features`` of the path, computed once per fit.
     """
-    inc = _increments(path, model, theta)
+    inc = _increments(path, model, theta, features=features)
     if keep is not None:
         keep[:] = [np.asarray(theta, dtype=float).tobytes(), inc]
     if model.d == 1:

@@ -3,9 +3,10 @@
 A model supplies the squared diffusion coefficient S = sigma sigma' together
 with its analytic theta-derivatives dS, the covariate convention and a
 parameter box.  S and dS are vectorized maps over a whole covariate block, or
-pointwise maps as a slower fallback (see ModelSpec).  S must be SPD at every
-point of the box: the estimator stops with CholeskyFailure at a trial point
-where it is not.
+pointwise maps as a slower fallback (see ModelSpec); the vectorized maps may
+read theta-free features of the block, which `estimate` computes once per fit.
+S must be SPD at every point of the box: the estimator stops with
+CholeskyFailure at a trial point where it is not.
 
 Builtin families (names as they appear in scenario configs), each one shared
 record that states S and dS once, vectorized:
@@ -55,6 +56,11 @@ class ParameterBox:
         initial = np.atleast_1d(np.asarray(self.initial, dtype=float)).copy()
         if not (lower.shape == upper.shape == initial.shape):
             raise ValueError("lower/upper/initial must have equal lengths")
+        for name, arr in (("lower", lower), ("upper", upper)):
+            if np.isnan(arr).any():
+                raise ValueError(f"{name} holds NaN: {arr.tolist()}")
+        if not np.isfinite(initial).all():
+            raise ValueError(f"initial must be finite, got {initial.tolist()}")
         if not np.all(lower < upper):
             raise ValueError("need lower < upper componentwise")
         if np.any(initial < lower) or np.any(initial > upper):
@@ -95,6 +101,10 @@ class ModelSpec:
     box whose length is not p.  s_values / ds_values reject a vectorized
     result of the wrong shape.
 
+    features, optional and theta-free, maps the block to the (n, k) array that
+    s_path / ds_path read in its place.  s_values / ds_values compute it unless
+    passed ``features=`` (`estimate` does, once per fit); S / dS read rows.
+
     sigma(y, theta) is the optional diffusion coefficient of a d = 1
     SELF_RESPONSE model, with sigma**2 == S.  `simulate`'s Euler loop calls it
     once per fine step with a float y and a float tuple theta, and stores only
@@ -113,6 +123,7 @@ class ModelSpec:
     S: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     dS: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     sigma: Optional[Callable[[float, tuple], float]] = None
+    features: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.s_path is None and self.S is None:
@@ -123,21 +134,31 @@ class ModelSpec:
             raise ValueError(f"model {self.name!r} has p = {self.p}, "
                              f"its box has {self.box.p} entries")
 
-    def s_values(self, x_block: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def feature_block(self, x_block: np.ndarray) -> np.ndarray:
+        """features(x_block), with one row per block row, or else the block itself."""
+        values = x_block if self.features is None else np.asarray(self.features(x_block), float)
+        if values.shape[:1] != (len(x_block),):
+            raise ValueError(f"model {self.name!r}: features returned shape "
+                             f"{values.shape}, expected {len(x_block)} rows")
+        return values
+
+    def s_values(self, x_block: np.ndarray, theta: np.ndarray, *, features=None) -> np.ndarray:
         """S along a covariate block; (n,) for d=1, else (n, d, d)."""
         shape = (len(x_block),) if self.d == 1 else (len(x_block), self.d, self.d)
         if self.s_path is None:
             return np.array([np.asarray(self.S(x, theta), dtype=float)
                              for x in x_block]).reshape(shape)
-        return self._checked("s_path", self.s_path(x_block, theta), shape)
+        features = self.feature_block(x_block) if features is None else features
+        return self._checked("s_path", self.s_path(features, theta), shape)
 
-    def ds_values(self, x_block: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def ds_values(self, x_block: np.ndarray, theta: np.ndarray, *, features=None) -> np.ndarray:
         """dS along a covariate block; (n, p) for d=1, else (n, p, d, d)."""
         shape = (len(x_block), self.p) + ((self.d, self.d) if self.d > 1 else ())
         if self.ds_path is None:
             return np.array([np.asarray(self.dS(x, theta), dtype=float)
                              for x in x_block]).reshape(shape)
-        return self._checked("ds_path", self.ds_path(x_block, theta), shape)
+        features = self.feature_block(x_block) if features is None else features
+        return self._checked("ds_path", self.ds_path(features, theta), shape)
 
     def _checked(self, what: str, values, shape: tuple) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -155,11 +176,12 @@ def _exp_linear_ds(xb, theta):
     return xb * np.exp(xb @ theta)[:, None]
 
 
-# sigma is linear in theta, so d sigma / d theta is theta-free.
-def _rational_parts(xb):
+# sigma is linear in theta, so its features are d sigma / d theta_1 and
+# d sigma / d theta_2, as the columns of a (2, n) array's transpose.
+def _rational_features(xb):
     y2 = np.square(np.asarray(xb, dtype=float).reshape(len(xb)))
     den = 1.0 + y2
-    return 1.0 / den, y2 / den  # d sigma / d theta_1, d sigma / d theta_2
+    return np.vstack((1.0 / den, y2 / den)).T
 
 
 def _rational_sigma(y, theta):
@@ -170,13 +192,12 @@ def _rational_sigma(y, theta):
     return theta[0] * (1.0 / den) + theta[1] * (y2 / den)
 
 
-def _rational_s(xb, theta):
-    g1, g2 = _rational_parts(xb)
-    return (theta[0] * g1 + theta[1] * g2) ** 2
+def _rational_s(g, theta):
+    return (theta[0] * g[:, 0] + theta[1] * g[:, 1]) ** 2
 
 
-def _rational_ds(xb, theta):
-    g1, g2 = _rational_parts(xb)
+def _rational_ds(g, theta):
+    g1, g2 = g[:, 0], g[:, 1]
     two_sig = 2.0 * (theta[0] * g1 + theta[1] * g2)
     out = np.empty((len(g1), 2))
     np.multiply(two_sig, g1, out=out[:, 0])
@@ -200,7 +221,8 @@ _BUILTINS = {model.name: model for model in (
     ModelSpec(name="rational-diffusion", d=1, p=2, cov_dim=1,
               box=ParameterBox(lower=[0.01, 0.01], upper=[10.0, 10.0], initial=[5.0, 5.0]),
               covariate_source=CovariateSource.SELF_RESPONSE,
-              s_path=_rational_s, ds_path=_rational_ds, sigma=_rational_sigma),
+              s_path=_rational_s, ds_path=_rational_ds, sigma=_rational_sigma,
+              features=_rational_features),
     ModelSpec(name="const-levy", d=1, p=1, cov_dim=1,
               box=ParameterBox(lower=[-5.0], upper=[5.0], initial=[0.0]),
               s_path=_const_levy_s, ds_path=_const_levy_ds),

@@ -447,9 +447,9 @@ class TestPluginReuse:
             calls["value_and_grad"] += 1
             return original_vg(*args, **kwargs)
 
-        def counting_ds(self, *args):
+        def counting_ds(self, *args, **kwargs):
             calls["ds_values"] += 1
-            return original_ds(self, *args)
+            return original_ds(self, *args, **kwargs)
 
         monkeypatch.setattr(estimator_mod, "value_and_grad", counting_vg)
         monkeypatch.setattr(ModelSpec, "ds_values", counting_ds)

@@ -356,9 +356,9 @@ class TestValidationAndErrors:
         def counting(name):
             original = getattr(ModelSpec, name)
 
-            def wrapper(self, *args):
+            def wrapper(self, *args, **kwargs):
                 calls.append(name)
-                return original(self, *args)
+                return original(self, *args, **kwargs)
             return wrapper
 
         for name in ("s_values", "ds_values"):

@@ -13,10 +13,13 @@ from rvolest import (
     ParameterBox,
     UnknownModel,
     estimate,
+    get_preset,
     make_builtin,
     residuals,
+    simulate,
+    value_and_grad,
 )
-from rvolest.likelihood import ObservationPath, RobustConfig
+from rvolest.likelihood import ObservationPath, RobustConfig, covariate_block
 from rvolest.model import CovariateSource
 
 
@@ -141,6 +144,22 @@ class TestParameterBox:
         with pytest.raises(ValueError):
             ParameterBox(lower=[0.0, 1.0], upper=[1.0], initial=[0.5])
 
+    @pytest.mark.parametrize("field, lower, upper, initial", [
+        ("lower", [np.nan, 0.01], [10.0, 10.0], [5.0, 5.0]),
+        ("upper", [0.01, 0.01], [10.0, np.nan], [5.0, 5.0]),
+        ("initial", [0.01, 0.01], [10.0, 10.0], [np.nan, 5.0]),
+        ("initial", [-np.inf, 0.01], [10.0, 10.0], [-np.inf, 5.0]),
+    ], ids=["nan-lower", "nan-upper", "nan-initial", "inf-initial"])
+    def test_nan_bound_or_non_finite_start_is_named(self, field, lower, upper, initial):
+        # a NaN start used to reach the fit, which stopped with a
+        # CholeskyFailure at increment 1 instead of naming the start
+        with pytest.raises(ValueError, match=f"^{field} "):
+            ParameterBox(lower=lower, upper=upper, initial=initial)
+
+    def test_infinite_bounds_are_still_accepted(self):
+        box = ParameterBox(lower=[-np.inf, 0.0], upper=[np.inf, 1.0], initial=[3.0, 0.5])
+        np.testing.assert_array_equal(box.clamp([1e300, 2.0]), [1e300, 1.0])
+
     def test_dimension_mismatch_in_clamp(self):
         box = ParameterBox(lower=[0.0], upper=[1.0], initial=[0.5])
         with pytest.raises(ValueError):
@@ -224,3 +243,76 @@ class TestModelContract:
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == said
+
+
+def jumpdiff_path(n=400):
+    return simulate(get_preset("sec6-5-jumpdiff", n=n, seed=3)).observed
+
+
+def counted_features(model):
+    """The model with its features map wrapped to record each call's row count."""
+    calls = []
+
+    def features(x_block):
+        calls.append(len(x_block))
+        return model.features(x_block)
+    return replace(model, name="counted", features=features), calls
+
+
+CONFIGS = [RobustConfig.gqlf(), RobustConfig.density_power(0.1), RobustConfig.hoelder(0.5)]
+CONFIG_IDS = ["gqlf", "dp0.1", "holder"]
+
+
+class TestFeatures:
+    """A theta-free features map is computed once per fit and read by the
+    vectorized maps in place of the covariate block."""
+
+    def test_features_run_once_per_fit_and_once_per_residuals_call(self):
+        path = jumpdiff_path()
+        model, calls = counted_features(make_builtin("rational-diffusion"))
+        for config in CONFIGS:
+            calls.clear()
+            res = estimate(path, model, config)
+            assert res.nfev >= 5 and calls == [path.n]
+            calls.clear()
+            residuals(path, model, res.theta_hat)
+            assert calls == [path.n]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_features_give_the_bits_of_the_family_without_them(self, config):
+        path, model = jumpdiff_path(), make_builtin("rational-diffusion")
+        plain = replace(model, name="plain", features=None,
+                        s_path=lambda xb, theta: model.s_path(model.features(xb), theta),
+                        ds_path=lambda xb, theta: model.ds_path(model.features(xb), theta))
+        for theta in (model.box.initial, np.array([0.3, 2.0])):
+            (want, want_grad), (got, got_grad) = (value_and_grad(path, m, theta, config)
+                                                  for m in (plain, model))
+            assert got == want
+            np.testing.assert_array_equal(got_grad, want_grad)
+        want, got = estimate(path, plain, config), estimate(path, model, config)
+        for name in ("theta_hat", "objective_value", "gamma_hat", "sigma_hat", "ci", "nfev"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(residuals(path, model, got.theta_hat),
+                                      residuals(path, plain, got.theta_hat))
+
+    @pytest.mark.parametrize("rows", [399, 401])
+    def test_features_with_the_wrong_row_count_are_rejected(self, rows):
+        path = jumpdiff_path()
+        model = replace(make_builtin("rational-diffusion"), name="ragged",
+                        features=lambda x_block: np.ones((rows, 2)))
+        theta = model.box.initial
+        said = f"model 'ragged': features returned shape ({rows}, 2), expected 400 rows"
+        for call in (lambda: estimate(path, model, RobustConfig.gqlf()),
+                     lambda: value_and_grad(path, model, theta, RobustConfig.gqlf()),
+                     lambda: residuals(path, model, theta),
+                     lambda: model.s_values(covariate_block(path, model), theta)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == said
+
+    def test_a_response_mismatch_is_named_before_the_features_run(self):
+        model, calls = counted_features(make_builtin("rational-diffusion"))
+        path = brownian_path(np.random.default_rng(0), 50, d=2)
+        with pytest.raises(ValueError, match="path has 2 response columns"):
+            estimate(path, model, RobustConfig.gqlf())
+        assert calls == []
