@@ -26,7 +26,9 @@ the covariate block (`ModelSpec.feature_block`): `estimate` computes them once
 per fit, a one-call API once per call.  The per-increment record holds
 log det S_j, eps_j' S_j^{-1} eps_j and t_jk = tr(S_j^{-1} d_k S_j); for d = 1
 also S_j, for d >= 2 also z_j = L_j^{-1} eps_j and A_jk = L_j^{-1} d_k S_j
-L_j^{-T}, with t_jk = tr A_jk.  The objective, `estimator.plugin_matrices` and
+L_j^{-T}, with t_jk = tr A_jk.  For d = 1, t = dS / S keeps the layout of dS,
+which the builtins make parameter-major, so the gradient and the plug-in Gram
+products run along n.  The objective, `estimator.plugin_matrices` and
 `clustering.residuals` read it; residuals ask only for the whitening, without dS.
 """
 
@@ -138,8 +140,7 @@ class RobustConfig:
 
 
 def covariate_block(path: ObservationPath, model: ModelSpec) -> np.ndarray:
-    """x_{j-1} for j = 1..n, read per the model's covariate convention; raises
-    ValueError when the path's response, then covariate, columns do not fit."""
+    """x_{j-1} for j = 1..n per the model's covariate convention; checks d, then cov_dim."""
     if path.d != model.d:
         raise ValueError(f"path has {path.d} response columns, "
                          f"model {model.name!r} has d = {model.d}")

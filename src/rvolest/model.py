@@ -168,12 +168,14 @@ class ModelSpec:
         return values
 
 
+# The d = 1 ds_path maps fill a (p, n) buffer and return its (n, p) transpose
+# view: parameter-major, so every per-increment step on dS runs along n.
 def _exp_linear_s(xb, theta):
     return np.exp(xb @ theta)
 
 
 def _exp_linear_ds(xb, theta):
-    return xb * np.exp(xb @ theta)[:, None]
+    return np.multiply(xb.T, np.exp(xb @ theta), out=np.empty((xb.shape[1], len(xb)))).T
 
 
 # sigma is linear in theta, so its features are d sigma / d theta_1 and
@@ -197,12 +199,8 @@ def _rational_s(g, theta):
 
 
 def _rational_ds(g, theta):
-    g1, g2 = g[:, 0], g[:, 1]
-    two_sig = 2.0 * (theta[0] * g1 + theta[1] * g2)
-    out = np.empty((len(g1), 2))
-    np.multiply(two_sig, g1, out=out[:, 0])
-    np.multiply(two_sig, g2, out=out[:, 1])
-    return out
+    two_sig = 2.0 * (theta[0] * g[:, 0] + theta[1] * g[:, 1])
+    return np.multiply(g.T, two_sig, out=np.empty((2, len(g)))).T
 
 
 def _const_levy_s(xb, theta):

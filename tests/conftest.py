@@ -1,5 +1,6 @@
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ def make_exp_linear_path(rng, n=64, T=1.0, theta=None, spikes=0):
     for _ in range(spikes):
         y[rng.integers(1, n)] += rng.normal(0.0, 1.0)
     return ObservationPath(n=n, T=T, times=times, covariates=x, responses=y), model
+
+
+def c_ordered_ds(model):
+    """The model with its ds_path's result copied to row-major (C) order, the
+    layout of a custom map that fills an (n, p) array row by row."""
+    ds_path = model.ds_path
+    return replace(model, name=f"{model.name}-c-order",
+                   ds_path=lambda x_block, theta: np.ascontiguousarray(ds_path(x_block, theta)))
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_exp_linear_path
+from conftest import c_ordered_ds, make_exp_linear_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,7 @@ from rvolest import (
     simulate,
     value_and_grad,
 )
-from rvolest.likelihood import LAMBDA_BAR, _increments
+from rvolest.likelihood import LAMBDA_BAR, _increments, covariate_block
 
 GQLF = RobustConfig.gqlf()
 DP = RobustConfig.density_power
@@ -433,3 +433,24 @@ class TestInPlaceSafety:
             for name in ("theta_hat", "objective_value", "gamma_hat", "sigma_hat",
                          "fisher_hat", "ci", "nfev"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestDerivativeLayout:
+    """The builtin d = 1 ds_path maps return a parameter-major (n, p) view;
+    a custom map's row-major array gives the same objective."""
+
+    @pytest.mark.parametrize("kind", ["external", "self-response"])
+    @pytest.mark.parametrize("config", [GQLF, DP(0.1), DP(0.5), HO(0.5)],
+                             ids=["gqlf", "dp0.1", "dp0.5", "holder"])
+    def test_row_major_and_parameter_major_ds_agree(self, kind, config, rng):
+        path, model = _in_place_case(kind, rng)
+        rows = c_ordered_ds(model)
+        x_block = covariate_block(path, model)
+        for theta in (model.box.initial, model.box.initial + 0.1):
+            builtin, custom = (m.ds_values(x_block, theta) for m in (model, rows))
+            assert builtin.T.flags.c_contiguous and custom.flags.c_contiguous
+            np.testing.assert_array_equal(builtin, custom)
+            (want, want_grad), (got, got_grad) = (value_and_grad(path, m, theta, config)
+                                                  for m in (rows, model))
+            assert got == want
+            assert np.abs(got_grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
