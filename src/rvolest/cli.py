@@ -5,7 +5,11 @@ byte-identical across runs and worker counts.  Exit codes: 0 success,
 1 estimator failure, 2 input error (a bad value, an unreadable file, an --out
 that cannot be written, or a flag that cannot apply beside another), reported
 on one `error:` line.  Cross-flag rules are checks on the parsed flags, not
-argparse groups.  RVOLEST_THREADS is the fallback for --threads."""
+argparse groups.  RVOLEST_THREADS is the fallback for --threads.
+
+No list is written here twice: estimate.json holds every field of
+`EstimationResult` but its config, --variant and --merge take the values of
+`Variant` and `MergeMode`, and --preset the names of `simulator.PRESET_NAMES`."""
 
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from .clustering import (
 )
 from .estimator import OptimizerOptions, estimate
 from .exceptions import RvolestError
-from .likelihood import ObservationPath, RobustConfig
+from .likelihood import ObservationPath, RobustConfig, Variant
 from .model import make_builtin
 from .montecarlo import (
     ExperimentPlan,
@@ -113,17 +117,13 @@ def _make_configs(variants: str, lambdas: str) -> list[RobustConfig]:
     configs: list[RobustConfig] = []
     lam_values = _parse_float_list(lambdas, "--lambda")
     for name in [v.strip() for v in variants.split(",")]:
-        if name == "gqlf":
-            configs.append(RobustConfig.gqlf())
-        elif name == "dp":
-            configs.extend(RobustConfig.density_power(lam) for lam in lam_values)
-        elif name == "holder":
-            configs.extend(RobustConfig.hoelder(lam) for lam in lam_values)
-        else:
+        try:
+            variant = Variant(name)
+        except ValueError:
             raise ValueError(f"--variant has an unknown or empty item {name!r} "
-                             "(gqlf, dp, holder)")
-    if not configs:
-        raise ValueError("no estimator configured")
+                             f"({', '.join(v.value for v in Variant)})") from None
+        configs.extend([RobustConfig(variant)] if variant is Variant.GQLF
+                       else (RobustConfig(variant, lam) for lam in lam_values))
     return configs
 
 
@@ -203,31 +203,11 @@ def write_truth_csv(bundle, filename: str) -> None:
 
 
 def _result_to_dict(res, model_name: str, n: int, T: float) -> dict:
-    out = {
-        "model": model_name,
-        "n": n,
-        "T": T,
-        "variant": res.config.variant.value,
-        "lambda": res.config.lam if res.config.variant.value != "gqlf" else None,
-        "theta_hat": [float(v) for v in res.theta_hat],
-        "objective_value": res.objective_value,
-        "gamma_hat": res.gamma_hat.tolist(),
-        "sigma_hat": res.sigma_hat.tolist(),
-        "fisher_hat": res.fisher_hat.tolist(),
-        "avar": None if res.avar is None else res.avar.tolist(),
-        "ci": None if res.ci is None else res.ci.tolist(),
-        "alpha": res.alpha,
-        "converged": res.converged,
-        "iterations": res.iterations,
-        "nfev": res.nfev,
-        "projected_grad_norm": res.projected_grad_norm,
-        "boundary_active": [bool(b) for b in res.boundary_active],
-        "used_fallback": res.used_fallback,
-        "negative_variance": res.negative_variance,
-        "taper_diagnostic": res.taper_diagnostic,
-    }
-    if res.u_stat is not None:
-        out["u_stat"] = [float(v) for v in res.u_stat]
+    """The run's model, size and estimator, then the fit record's fields but config."""
+    variant = res.config.variant
+    out = {"model": model_name, "n": n, "T": T, "variant": variant.value,
+           "lambda": None if variant is Variant.GQLF else res.config.lam}
+    out.update((f.name, getattr(res, f.name)) for f in fields(res) if f.name != "config")
     return out
 
 
@@ -287,7 +267,8 @@ def cmd_estimate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_file = os.path.join(args.out, "estimate.json")
     with open(out_file, "w") as fh:
-        json.dump(_result_to_dict(res, model_name, path.n, path.T), fh, indent=2)
+        json.dump(_result_to_dict(res, model_name, path.n, path.T), fh, indent=2,
+                  default=lambda value: value.tolist())  # arrays and numpy scalars
         fh.write("\n")
     theta_txt = ", ".join(format_cell(v) for v in res.theta_hat)
     print(f"theta_hat = [{theta_txt}] (converged={res.converged}); wrote {out_file}")
@@ -396,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--path", help="path.csv produced by `rvolest simulate`")
     fit.add_argument("--model", help="model name when using --path")
     fit.add_argument("--T", type=float, default=None, help="horizon override for --path")
-    fit.add_argument("--variant", default="dp", help="gqlf | dp | holder")
+    fit.add_argument("--variant", default="dp", help=" | ".join(v.value for v in Variant))
     fit.add_argument("--lambda", dest="lam", default="0.5", help="tapering parameter")
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument("--threads", type=int, default=None,
@@ -430,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--k-range", default=None,
                       help="scan range LO:HI for suggest-K (default 2:10)")
     p_cl.add_argument("--kmeans-seed", type=int, default=0)
-    p_cl.add_argument("--merge", default="off", choices=["spike-pair", "off"])
+    p_cl.add_argument("--merge", default="off", choices=[mode.value for mode in MergeMode])
     p_cl.set_defaults(handler=cmd_cluster)
     return parser
 

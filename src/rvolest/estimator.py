@@ -79,10 +79,10 @@ class EstimationResult:
     nfev: int                      # objective evaluations, the plug-in step's excluded
     projected_grad_norm: float
     boundary_active: np.ndarray    # bool per coordinate
-    negative_variance: list[int] = field(default_factory=list)
-    u_stat: np.ndarray | None = None   # sqrt(n)(theta_hat - theta0)/sqrt(avar_ii)
-    taper_diagnostic: float | None = None
     used_fallback: bool = False    # always False; kept for estimate.json readers
+    negative_variance: list[int] = field(default_factory=list)
+    taper_diagnostic: float | None = None
+    u_stat: np.ndarray | None = None   # sqrt(n)(theta_hat - theta0)/sqrt(avar_ii)
 
 
 def check_taper_schedule(n: int, lam: float, kappa: float = 1.0, T: float = 1.0) -> float:
@@ -225,15 +225,22 @@ def estimate(
 
     features = model.feature_block(covariate_block(path, model))  # theta-free: once per fit
     last = []  # [theta bytes, record] of the latest evaluation
+    latest = [None, None]  # [theta bytes, negated gradient] of the latest evaluation
 
-    def neg_val_grad(theta):
+    def neg_value(theta):
         val, grad = value_and_grad(path, model, theta, config, keep=last, features=features)
-        return -val, -grad
+        latest[:] = [np.asarray(theta, dtype=float).tobytes(), -grad]
+        return -val
+
+    def neg_grad(theta):  # the gradient of the evaluation that gave the value
+        if np.asarray(theta, dtype=float).tobytes() != latest[0]:
+            neg_value(theta)
+        return latest[1]
 
     import scipy.optimize
 
     res = scipy.optimize.minimize(
-        neg_val_grad, start, jac=True, method="L-BFGS-B", bounds=list(zip(box.lower, box.upper)),
+        neg_value, start, jac=neg_grad, method="L-BFGS-B", bounds=list(zip(box.lower, box.upper)),
         options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14})
     theta_hat = box.clamp(res.x)
     value, grad = -float(res.fun), -res.jac

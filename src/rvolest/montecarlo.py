@@ -19,6 +19,10 @@ exits on its own.
 Failed replications (factorization or singular-curvature errors) are excluded
 from the moment columns and counted; non-converged fits keep their estimate
 but are excluded from coverage.
+
+The outputs of a replication are the per-replication fields of `SummaryTable`:
+`_run_replication` keys its arrays by those field names and `run_plan` stacks
+every key into its field, so a new output is one field and one array.
 """
 
 from __future__ import annotations
@@ -62,9 +66,7 @@ class ExperimentPlan:
 
 def estimator_label(config: RobustConfig) -> tuple[str, float]:
     """(variant, lambda) pair used in CSV rows; lambda is NaN for gqlf."""
-    if config.variant is Variant.GQLF:
-        return "gqlf", float("nan")
-    return config.variant.value, config.lam
+    return config.variant.value, float("nan") if config.variant is Variant.GQLF else config.lam
 
 
 @dataclass
@@ -114,13 +116,13 @@ def _run_replication(args) -> dict:
     model = make_builtin(scenario.model.name)
     theta0 = scenario.model.theta0_array()
     p = theta0.shape[0]
-    out = {
-        "theta": np.full((len(estimators), p), np.nan),
-        "u": np.full((len(estimators), p), np.nan),
+    out = {  # this replication's row of each SummaryTable field it fills
+        "raw_theta": np.full((len(estimators), p), np.nan),
+        "raw_u": np.full((len(estimators), p), np.nan),
         "cover": np.full((len(estimators), p), np.nan),
         "converged": np.zeros(len(estimators), dtype=bool),
         "failed": np.zeros(len(estimators), dtype=bool),
-        "time": np.zeros(len(estimators)),
+        "times": np.zeros(len(estimators)),
     }
     for e, config in enumerate(estimators):
         t0 = time.perf_counter()
@@ -128,13 +130,13 @@ def _run_replication(args) -> dict:
             res = estimate(bundle.observed, model, config, alpha=alpha, theta0=theta0)
         except RvolestError:
             out["failed"][e] = True
-            out["time"][e] = time.perf_counter() - t0
+            out["times"][e] = time.perf_counter() - t0
             continue
-        out["time"][e] = time.perf_counter() - t0
-        out["theta"][e] = res.theta_hat
+        out["times"][e] = time.perf_counter() - t0
+        out["raw_theta"][e] = res.theta_hat
         out["converged"][e] = res.converged
         if res.u_stat is not None:
-            out["u"][e] = res.u_stat
+            out["raw_u"][e] = res.u_stat
         if res.ci is not None and res.converged:
             lo, hi = res.ci[:, 0], res.ci[:, 1]
             covered = (lo <= theta0) & (theta0 <= hi)
@@ -305,16 +307,9 @@ def run_plan(plan: ExperimentPlan) -> SummaryTable:
     else:
         records = [_run_replication(job) for job in jobs]
 
-    return SummaryTable(
-        theta0=theta0,
-        labels=[estimator_label(c) for c in plan.estimators],
-        raw_theta=np.stack([r["theta"] for r in records]),
-        raw_u=np.stack([r["u"] for r in records]),
-        cover=np.stack([r["cover"] for r in records]),
-        converged=np.stack([r["converged"] for r in records]),
-        failed=np.stack([r["failed"] for r in records]),
-        times=np.stack([r["time"] for r in records]),
-    )
+    stacked = {key: np.stack([r[key] for r in records]) for key in records[0]}
+    return SummaryTable(theta0=theta0, labels=[estimator_label(c) for c in plan.estimators],
+                        **stacked)
 
 
 # ---------------------------------------------------------------------------

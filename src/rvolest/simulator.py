@@ -22,6 +22,9 @@ sets the design: an EXTERNAL model gets the first ``cov_dim`` columns of
 runs an Euler loop with optional drift mu(y) = y.  The loop calls the model's
 pointwise sigma once per fine step, with the current response as a float y
 and theta as a float tuple, and stores only the observed values.
+
+The named presets are the entries of one table, `_PRESETS`; `PRESET_NAMES`
+is its keys and `get_preset` builds a `Scenario` from an entry.
 """
 
 from __future__ import annotations
@@ -233,12 +236,11 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         out = memoryview(y_obs)
         out[0] = y = float(scenario.y0)
         sigma, theta = model.sigma, scenario.model.theta0
-        drift_on = scenario.model.drift is DriftKind.RESPONSE
+        h = fine_h if scenario.model.drift is DriftKind.RESPONSE else 0.0  # mu(y) h = y h
         steps = zip(memoryview(dw), memoryview(jump_deltas))
         for j in range(1, n + 1):
             for w, jd in islice(steps, sub):
-                mu = y if drift_on else 0.0
-                y = y + mu * fine_h + sigma(y, theta) * w + jd
+                y = y + y * h + sigma(y, theta) * w + jd
             out[j] = y
 
     # spike contamination at observation times (drawn for all j to keep the
@@ -263,13 +265,17 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
 # Named presets for the shipped experiment designs
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = (
-    "sec6-1-clean",
-    "sec6-1-spike",
-    "sec6-2-jump-normal",
-    "sec6-2-jump-gamma",
-    "sec6-5-jumpdiff",
-)
+# name -> (data-generating model, spiked, jump-size law or None; JumpSpec's parameters)
+_TRIG_MODEL = DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0))
+_PRESETS = {
+    "sec6-1-clean": (_TRIG_MODEL, False, None),
+    "sec6-1-spike": (_TRIG_MODEL, True, None),
+    "sec6-2-jump-normal": (_TRIG_MODEL, False, "normal"),
+    "sec6-2-jump-gamma": (_TRIG_MODEL, False, "gamma"),
+    "sec6-5-jumpdiff": (DgpModel(name="rational-diffusion", theta0=(2.0, 3.0),
+                                 drift=DriftKind.RESPONSE), False, "normal"),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def get_preset(
@@ -281,23 +287,13 @@ def get_preset(
     jump_rate_factor: float = 0.01,
 ) -> Scenario:
     """Build a named scenario.  jump intensity scales as jump_rate_factor * n / T."""
-    trig_model = DgpModel(name="exp-linear-3", theta0=(-2.0, 3.0, 0.0))
-    if name == "sec6-1-clean":
-        return Scenario(model=trig_model, n=n, seed=seed)
-    if name == "sec6-1-spike":
-        return Scenario(model=trig_model, n=n, seed=seed,
-                        spike=SpikeSpec(prob=spike_prob, sigma2=spike_sigma2))
-    if name == "sec6-2-jump-normal":
-        return Scenario(model=trig_model, n=n, seed=seed, jump=JumpSpec(
-            intensity=jump_rate_factor * n, size_law="normal", mean=0.0, sigma2=3.0))
-    if name == "sec6-2-jump-gamma":
-        return Scenario(model=trig_model, n=n, seed=seed, jump=JumpSpec(
-            intensity=jump_rate_factor * n, size_law="gamma", shape=1.0, rate=1.0))
-    if name == "sec6-5-jumpdiff":
-        model = DgpModel(name="rational-diffusion", theta0=(2.0, 3.0), drift=DriftKind.RESPONSE)
-        return Scenario(model=model, n=n, seed=seed, jump=JumpSpec(
-            intensity=jump_rate_factor * n, size_law="normal", mean=0.0, sigma2=3.0))
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    model, spiked, size_law = _PRESETS[name]
+    return Scenario(model=model, n=n, seed=seed,
+                    jump=None if size_law is None else JumpSpec(
+                        intensity=jump_rate_factor * n, size_law=size_law),
+                    spike=SpikeSpec(prob=spike_prob, sigma2=spike_sigma2) if spiked else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from oracles import objective
 
-from rvolest import ObservationPath, RobustConfig, make_builtin
+from rvolest import EstimationResult, ObservationPath, RobustConfig, make_builtin
 import rvolest.cli as cli_mod
 from rvolest.cli import main, read_path_csv
 
@@ -197,6 +198,22 @@ class TestEstimateCommand:
         value = objective(path, model, theta, RobustConfig.density_power(0.5))
         assert value == pytest.approx(blob["objective_value"], abs=1e-10)
         assert "u_stat" in blob and blob["taper_diagnostic"] is not None
+
+    @pytest.mark.parametrize("truth", [[], ["--true-theta=-2,3,0"]], ids=["no-truth", "truth"])
+    def test_json_is_the_fit_record(self, truth, tmp_path):
+        # the run's model, size and estimator, then every field of the fit
+        # record but its config, in field order; u_stat is null without a truth
+        out = tmp_path / "est"
+        assert run(["estimate", *SPIKE, *truth, "--out", out]) == 0
+        blob = json.loads((out / "estimate.json").read_text())
+        record = [f.name for f in dataclasses.fields(EstimationResult) if f.name != "config"]
+        assert list(blob) == ["model", "n", "T", "variant", "lambda", *record]
+        assert list(blob)[5:] == [
+            "theta_hat", "objective_value", "gamma_hat", "sigma_hat", "fisher_hat", "avar",
+            "ci", "alpha", "converged", "iterations", "nfev", "projected_grad_norm",
+            "boundary_active", "used_fallback", "negative_variance", "taper_diagnostic",
+            "u_stat"]
+        assert (blob["u_stat"] is None) == (not truth)
 
     def test_preset_shortcut(self, tmp_path):
         out = tmp_path / "est"
@@ -433,7 +450,18 @@ def test_bad_argument_exits_2_with_one_line(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unknown_merge_mode_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(["cluster", *SPIKE, "--merge", "bogus", "--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--merge" in err and "spike-pair" in err and "off" in err
+    assert not out.exists()
+
+
 JUMPDIFF = ["--preset", "sec6-5-jumpdiff", "--n", "300"]
+UNKNOWN_VARIANT = "--variant has an unknown or empty item 'bogus' (gqlf, dp, holder)\n"
 
 
 @pytest.mark.parametrize("argv, said", [
@@ -444,8 +472,11 @@ JUMPDIFF = ["--preset", "sec6-5-jumpdiff", "--n", "300"]
     (["estimate", *JUMPDIFF, "--true-theta", "2,3,"], "--true-theta "),
     (["montecarlo", *JUMPDIFF, "--reps", "2", "--lambda", "0.1,,0.5"], "--lambda "),
     (["montecarlo", *JUMPDIFF, "--reps", "2", "--variant", "gqlf,,dp"], "--variant "),
+    (["estimate", *JUMPDIFF, "--variant", "bogus"], UNKNOWN_VARIANT),
+    (["montecarlo", *JUMPDIFF, "--reps", "2", "--variant", "dp,bogus"], UNKNOWN_VARIANT),
 ], ids=["init-nan", "init-inf", "true-theta-nan", "init-empty-item",
-        "true-theta-trailing-comma", "mc-lambda-empty-item", "mc-variant-empty-item"])
+        "true-theta-trailing-comma", "mc-lambda-empty-item", "mc-variant-empty-item",
+        "variant-unknown", "mc-variant-unknown"])
 def test_non_finite_or_empty_item_exits_2_naming_it(argv, said, tmp_path, capsys):
     # a NaN start used to fail as "matrix not SPD" (exit 1), a NaN truth wrote
     # NaN statistics (exit 0), and an empty list item was dropped (exit 0)

@@ -263,6 +263,24 @@ class TestPresets:
         b = simulate(sc)
         assert b.observed.n == 64
 
+    @pytest.mark.parametrize("name, model, jump, spike", [
+        ("sec6-1-clean", "trig", None, None),
+        ("sec6-1-spike", "trig", None, {"prob": 0.01, "sigma2": 1.0}),
+        ("sec6-2-jump-normal", "trig", "normal", None),
+        ("sec6-2-jump-gamma", "trig", "gamma", None),
+        ("sec6-5-jumpdiff", "rational", "normal", None),
+    ])
+    def test_preset_contents(self, name, model, jump, spike):
+        models = {"trig": {"name": "exp-linear-3", "theta0": (-2.0, 3.0, 0.0), "drift": "zero"},
+                  "rational": {"name": "rational-diffusion", "theta0": (2.0, 3.0),
+                               "drift": "response"}}
+        jump_blob = None if jump is None else {
+            "intensity": 2.0, "size_law": jump, "mean": 0.0, "sigma2": 3.0, "shape": 1.0,
+            "rate": 1.0, "scale": 1.0}
+        assert scenario_to_dict(get_preset(name, n=200, seed=3)) == {
+            "model": models[model], "n": 200, "T": 1.0, "jump": jump_blob, "spike": spike,
+            "substeps": 10, "seed": 3, "y0": 0.0}
+
     def test_jump_intensity_scales_with_n(self):
         sc = get_preset("sec6-2-jump-normal", n=5000)
         assert sc.jump.intensity == pytest.approx(50.0)
