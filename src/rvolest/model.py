@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -105,11 +106,13 @@ class ModelSpec:
     s_path / ds_path read in its place.  s_values / ds_values compute it unless
     passed ``features=`` (`estimate` does, once per fit); S / dS read rows.
 
-    sigma(y, theta) is the optional diffusion coefficient of a d = 1
-    SELF_RESPONSE model, with sigma**2 == S.  `simulate`'s Euler loop calls it
-    once per fine step with a float y and a float tuple theta, and stores only
-    the observed values; it is the one map a simulated self-response family
-    needs beyond S and dS.
+    euler(y0, dw, jumps, h, substeps, theta) is the optional Euler kernel of a
+    d = 1 SELF_RESPONSE model: from the float y0 it takes the m = n * substeps
+    fine steps y <- y + y h + sigma(y, theta) w + jd over the (m,) Brownian
+    increments dw and jump amounts jumps, with sigma**2 == S and theta a float
+    tuple, and returns the (n + 1,) values at the observation times.  `simulate`
+    calls it once per path; it is what a simulated self-response family needs
+    beyond S and dS.
     """
 
     name: str
@@ -122,7 +125,7 @@ class ModelSpec:
     ds_path: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     S: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     dS: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    sigma: Optional[Callable[[float, tuple], float]] = None
+    euler: Optional[Callable[..., np.ndarray]] = None
     features: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -186,12 +189,32 @@ def _rational_features(xb):
     return np.vstack((1.0 / den, y2 / den)).T
 
 
-def _rational_sigma(y, theta):
-    # The Euler loop calls this once per fine step with a float y: plain
-    # float arithmetic, in the operation order of _rational_s.
-    y2 = y * y
-    den = 1.0 + y2
-    return theta[0] * (1.0 / den) + theta[1] * (y2 / den)
+def _rational_euler(y0, dw, jumps, h, substeps, theta):
+    # Python floats through memoryviews: numpy scalars would cost several
+    # times the arithmetic, and lists of m floats would raise peak memory.
+    # sigma is written inline, in the operation order of _rational_features
+    # and _rational_s, so sigma == sqrt(S) exactly on the box.  An interval
+    # without a jump drops the "+ jd" term: x + 0.0 == x unless x is -0.0.
+    t1, t2 = theta
+    n = len(dw) // substeps
+    y_obs = np.empty(n + 1)
+    out = memoryview(y_obs)
+    out[0] = y = y0
+    steps, jv = iter(memoryview(dw)), memoryview(jumps)
+    jump_rows = set((np.flatnonzero(jumps) // substeps).tolist())
+    for j in range(n):
+        if j in jump_rows:
+            for w, jd in zip(islice(steps, substeps), jv[j * substeps:(j + 1) * substeps]):
+                y2 = y * y
+                den = 1.0 + y2
+                y = y + y * h + (t1 * (1.0 / den) + t2 * (y2 / den)) * w + jd
+        else:
+            for w in islice(steps, substeps):
+                y2 = y * y
+                den = 1.0 + y2
+                y = y + y * h + (t1 * (1.0 / den) + t2 * (y2 / den)) * w
+        out[j + 1] = y
+    return y_obs
 
 
 def _rational_s(g, theta):
@@ -219,7 +242,7 @@ _BUILTINS = {model.name: model for model in (
     ModelSpec(name="rational-diffusion", d=1, p=2, cov_dim=1,
               box=ParameterBox(lower=[0.01, 0.01], upper=[10.0, 10.0], initial=[5.0, 5.0]),
               covariate_source=CovariateSource.SELF_RESPONSE,
-              s_path=_rational_s, ds_path=_rational_ds, sigma=_rational_sigma,
+              s_path=_rational_s, ds_path=_rational_ds, euler=_rational_euler,
               features=_rational_features),
     ModelSpec(name="const-levy", d=1, p=1, cov_dim=1,
               box=ParameterBox(lower=[-5.0], upper=[5.0], initial=[0.0]),

@@ -19,9 +19,9 @@ without spikes and ``simulate(replace(sc, jump=None, spike=None))`` the clean on
 The model's ``covariate_source``, which the estimator reads x_{j-1} by, also
 sets the design: an EXTERNAL model gets the first ``cov_dim`` columns of
 `trig_covariates` and zero drift (one vectorized pass); a SELF_RESPONSE model
-runs an Euler loop with optional drift mu(y) = y.  The loop calls the model's
-pointwise sigma once per fine step, with the current response as a float y
-and theta as a float tuple, and stores only the observed values.
+runs an Euler loop with optional drift mu(y) = y.  That loop is the model's
+`euler` kernel, called once per path with y0 as a float and theta as a float
+tuple; it keeps only the observed values.
 
 The named presets are the entries of one table, `_PRESETS`; `PRESET_NAMES`
 is its keys and `get_preset` builds a `Scenario` from an entry.
@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import asdict, dataclass, fields
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -141,11 +140,15 @@ class DgpModel:
         if np.ndim(self.theta0) != 1 or len(self.theta0) != model.p:
             raise ValueError(f"model {self.name!r} needs {model.p} theta0 entries, "
                              f"got {self.theta0!r}")
-        theta0 = tuple(_number("theta0 entry", v) for v in self.theta0)
-        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "theta0", tuple(_number("theta0 entry", v)
+                                                 for v in self.theta0))
         object.__setattr__(self, "drift", DriftKind(self.drift))
-        if not np.all(np.isfinite(self.theta0_array())):
+        theta0, box = self.theta0_array(), model.box
+        if not np.all(np.isfinite(theta0)):
             raise ValueError("theta0 entries must be finite")
+        if np.any(theta0 < box.lower) or np.any(theta0 > box.upper):
+            raise ValueError(f"model {self.name!r}: theta0 {list(self.theta0)} lies outside "
+                             f"its box, lower {box.lower.tolist()}, upper {box.upper.tolist()}")
         if model.covariate_source is CovariateSource.EXTERNAL and self.drift is not DriftKind.ZERO:
             raise ValueError(f"model {self.name!r} has an external covariate and needs zero drift")
 
@@ -229,19 +232,8 @@ def simulate(scenario: Scenario, replication: int = 0) -> PathBundle:
         diffusion = scenario.y0 + np.concatenate([[0.0], np.cumsum(sigma * dw)])
         y_obs = (diffusion + np.concatenate([[0.0], np.cumsum(jump_deltas)]))[::sub]
     else:
-        # Python floats through memoryviews: numpy scalars would cost several
-        # times the arithmetic, and lists of m floats would raise peak memory.
-        # Only the value at each observation time is stored.
-        y_obs = np.empty(n + 1)
-        out = memoryview(y_obs)
-        out[0] = y = float(scenario.y0)
-        sigma, theta = model.sigma, scenario.model.theta0
         h = fine_h if scenario.model.drift is DriftKind.RESPONSE else 0.0  # mu(y) h = y h
-        steps = zip(memoryview(dw), memoryview(jump_deltas))
-        for j in range(1, n + 1):
-            for w, jd in islice(steps, sub):
-                y = y + y * h + sigma(y, theta) * w + jd
-            out[j] = y
+        y_obs = model.euler(scenario.y0, dw, jump_deltas, h, sub, scenario.model.theta0)
 
     # spike contamination at observation times (drawn for all j to keep the
     # stream layout independent of the Bernoulli outcomes)

@@ -7,7 +7,7 @@ the library's k_const, are checked against it.  A per-increment slogdet/inv
 loop checks the batched Cholesky kernel, a finite-difference Hessian of the
 analytic gradient checks the plug-in curvature matrices, an einsum over
 (n, p, p) stacks checks their weighted Gram products, and a full-grid Euler
-loop checks the simulator's self-response loop.
+loop checks the self-response models' Euler kernel.
 """
 
 from __future__ import annotations
@@ -258,11 +258,22 @@ def plugin_matrices_einsum(path, model, theta_hat, config):
     return 0.5 * (gamma + gamma.T), 0.5 * (sigma + sigma.T), fisher
 
 
+def euler_full_grid(model, y0, dw, jumps, h, substeps, theta) -> np.ndarray:
+    """The observed values of the Euler steps y <- y + y h + sqrt(S) w + jd
+    over the arrays dw and jumps: sqrt of a one-row s_values block (not the
+    model's Euler kernel) at every fine step, with every jump term added, all
+    len(dw) + 1 fine values stored, then every substeps-th one taken."""
+    y_fine = np.empty(len(dw) + 1)
+    y_fine[0] = y = float(y0)
+    for i, (w, jd) in enumerate(zip(np.asarray(dw).tolist(), np.asarray(jumps).tolist()), 1):
+        y = y + y * h + math.sqrt(model.s_values(np.array([[y]]), theta)[0]) * w + jd
+        y_fine[i] = y
+    return y_fine[::substeps]
+
+
 def euler_reference(scenario, replication=0) -> np.ndarray:
-    """Observed responses of a spike-free self-response scenario from the
-    full-grid Euler loop: sqrt of a one-row s_values block (not the loop's
-    sigma) at every fine step, all n * substeps + 1 fine values stored, then
-    every substeps-th one taken."""
+    """Observed responses of a spike-free self-response scenario from
+    `euler_full_grid` on the scenario's own draws."""
     assert scenario.spike is None
     m = scenario.n * scenario.substeps
     fine_h = scenario.T / m
@@ -270,13 +281,6 @@ def euler_reference(scenario, replication=0) -> np.ndarray:
         0.0, np.sqrt(fine_h), size=m)
     jump_deltas, _ = _jump_deltas(
         scenario, rng_stream(scenario.seed, replication, Lane.JUMPS), m)
-    model = make_builtin(scenario.model.name)
-    theta = tuple(scenario.model.theta0_array().tolist())
-    drift_on = scenario.model.drift is DriftKind.RESPONSE
-    y_fine = np.empty(m + 1)
-    y_fine[0] = y = float(scenario.y0)
-    for i, (w, jd) in enumerate(zip(dw.tolist(), jump_deltas.tolist()), 1):
-        mu = y if drift_on else 0.0
-        y = y + mu * fine_h + math.sqrt(model.s_values(np.array([[y]]), theta)[0]) * w + jd
-        y_fine[i] = y
-    return y_fine[::scenario.substeps]
+    h = fine_h if scenario.model.drift is DriftKind.RESPONSE else 0.0
+    return euler_full_grid(make_builtin(scenario.model.name), scenario.y0, dw, jump_deltas, h,
+                           scenario.substeps, scenario.model.theta0)

@@ -87,7 +87,9 @@ class TestSimulateCommand:
         ({"model": {"name": "nope", "theta0": [1.0]}}, "unknown model 'nope'"),
         ({"model": {"name": "rational-diffusion", "theta0": [2.0]}}, "needs 2 theta0 entries"),
         ({"n": 50.9, "seed": 2.7}, "n must be an integer >= 1, got 50.9"),
-    ], ids=["unknown-model", "theta0-length", "fractional-n"])
+        ({"model": {"name": "rational-diffusion", "theta0": [-2, 3]}, "n": 300, "seed": 2},
+         "theta0 [-2.0, 3.0] lies outside its box, lower [0.01, 0.01], upper [10.0, 10.0]"),
+    ], ids=["unknown-model", "theta0-length", "fractional-n", "theta0-outside-box"])
     def test_bad_config_model_is_input_error(self, fields, said, tmp_path, capsys):
         # a fractional count used to be truncated, and the run exited 0
         cfg = {"model": {"name": "exp-linear-3", "theta0": [-2, 3, 0]}, "n": 64, **fields}

@@ -113,11 +113,13 @@ class TestBuiltins:
            y=st.floats(-1e6, 1e6))
     @settings(max_examples=500, deadline=None)
     def test_rational_sigma_is_exact_sqrt_of_s(self, theta1, theta2, y):
-        # the Euler loop steps with sigma where it took sqrt(S): on the box,
-        # sqrt(RN(s * s)) == s in binary64, so the paths keep their bits
+        # the Euler kernel steps with sigma where it took sqrt(S): on the box,
+        # sqrt(RN(s * s)) == s in binary64, so the paths keep their bits.  One
+        # step with h = -1 and w = 1 is (y - y) + sigma * 1 = sigma exactly.
         m = make_builtin("rational-diffusion")
         theta = (theta1, theta2)
-        assert math.sqrt(s_at(m, [y], theta)) == m.sigma(y, theta)
+        step = m.euler(y, np.array([1.0]), np.array([0.0]), -1.0, 1, theta)
+        assert math.sqrt(s_at(m, [y], theta)) == step[1]
 
     def test_rational_sigma_between_thetas(self):
         m = make_builtin("rational-diffusion")

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import euler_reference
+from oracles import euler_full_grid, euler_reference
 
 import rvolest.simulator as simulator
 from rvolest import (
@@ -187,7 +187,7 @@ class TestSimulate:
         # and the default-refinement mean sits on the published clean-data row
         assert np.abs(means[0] - np.array([-2.0013, 2.9981, 0.0015])).max() < 0.01
 
-    def test_self_response_calls_sigma_once_per_fine_step(self, monkeypatch):
+    def test_self_response_calls_euler_once_per_path(self, monkeypatch):
         sc = get_preset("sec6-5-jumpdiff", n=200, seed=1)
         calls = []
         real_make_builtin = simulator.make_builtin
@@ -195,16 +195,18 @@ class TestSimulate:
         def counting_make_builtin(name):
             model = real_make_builtin(name)
 
-            def counting_sigma(y, theta):
-                calls.append((y, theta))
-                return model.sigma(y, theta)
+            def counting_euler(y0, dw, jumps, h, substeps, theta):
+                calls.append((y0, theta))
+                return model.euler(y0, dw, jumps, h, substeps, theta)
 
-            return replace(model, sigma=counting_sigma)
+            return replace(model, euler=counting_euler)
 
         monkeypatch.setattr(simulator, "make_builtin", counting_make_builtin)
-        simulate(sc)
-        assert len(calls) == sc.n * sc.substeps
-        assert all(type(y) is float and type(theta) is tuple for y, theta in calls)
+        for rep in (0, 1):
+            simulate(sc, replication=rep)
+        assert len(calls) == 2
+        assert all(type(y0) is float and type(theta) is tuple
+                   and all(type(t) is float for t in theta) for y0, theta in calls)
 
     @pytest.mark.parametrize("substeps", [1, 10])
     @pytest.mark.parametrize("y0", [0.0, 0.7])
@@ -224,6 +226,29 @@ class TestSimulate:
                 seeded = replace(sc, seed=seed)
                 got = simulate(seeded, replication=rep).observed.responses[:, 0]
                 assert got.tobytes() == euler_reference(seeded, rep).tobytes()
+
+    @pytest.mark.parametrize("substeps, jump_steps", [
+        (4, [0]), (4, [23]), (4, [5, 7]), (4, [3, 4]), (4, [9, 13]), (1, [0, 1, 23]),
+    ], ids=["first-step-of-row-0", "last-step-of-last-row", "two-in-one-row",
+            "adjacent-rows-at-the-seam", "adjacent-rows", "one-substep"])
+    @pytest.mark.parametrize("drift", [DriftKind.ZERO, DriftKind.RESPONSE],
+                             ids=["zero", "response"])
+    def test_euler_kernel_jump_split_matches_full_grid_oracle(self, substeps, jump_steps,
+                                                              drift):
+        # the kernel drops the jump term on intervals without a jump; on
+        # hand-placed jumps it keeps every bit of the full-grid sqrt(S) loop
+        model = make_builtin("rational-diffusion")
+        m = 24
+        fine_h = 1.0 / m
+        dw = np.random.default_rng(7).normal(0.0, np.sqrt(fine_h), size=m)
+        jumps = np.zeros(m)
+        jumps[jump_steps] = np.linspace(1.3, -0.8, len(jump_steps))
+        h = fine_h if drift is DriftKind.RESPONSE else 0.0
+        theta = (2.0, 3.0)
+        got = model.euler(0.7, dw, jumps, h, substeps, theta)
+        want = euler_full_grid(model, 0.7, dw, jumps, h, substeps, theta)
+        assert got.shape == (m // substeps + 1,)
+        assert got.tobytes() == want.tobytes()
 
     def test_jumpdiff_paths_keep_their_bits(self):
         # sha256 of the paths that the numpy-scalar Euler loop produced: the
@@ -418,6 +443,25 @@ class TestSpecs:
     def test_dgp_model_rejects_nonfinite_theta0(self):
         with pytest.raises(ValueError, match="finite"):
             DgpModel(name="rational-diffusion", theta0=(2.0, np.nan))
+
+    @pytest.mark.parametrize("name, theta0", [
+        ("rational-diffusion", (-2.0, 3.0)), ("rational-diffusion", (2.0, 10.5)),
+        ("exp-linear-3", (40.0, 0.0, 0.0)), ("const-levy", (-5.5,)),
+    ])
+    def test_dgp_model_rejects_theta0_outside_the_box(self, name, theta0):
+        # a negative rational theta gave sigma = -sqrt(S) in the Euler step,
+        # and an exp-linear-3 theta0 of (40, 0, 0) simulated |Y| up to 1e8
+        box = make_builtin(name).box
+        said = (f"model {name!r}: theta0 {list(theta0)} lies outside its box, "
+                f"lower {box.lower.tolist()}, upper {box.upper.tolist()}")
+        with pytest.raises(ValueError, match=f"^{re.escape(said)}$"):
+            DgpModel(name=name, theta0=theta0)
+
+    def test_dgp_model_accepts_theta0_on_the_box_boundary(self):
+        model = DgpModel(name="rational-diffusion", theta0=(0.01, 10.0),
+                         drift=DriftKind.RESPONSE)
+        path = simulate(Scenario(model=model, n=100, seed=2)).observed
+        assert np.isfinite(path.responses).all()
 
     @pytest.mark.parametrize("record, field", [
         (JumpSpec, "intensity"), (JumpSpec, "mean"), (JumpSpec, "sigma2"), (JumpSpec, "shape"),
