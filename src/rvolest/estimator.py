@@ -8,7 +8,8 @@ never turns into a reported success.  The value and gradient at theta_hat are
 the optimizer's own final evaluation, and so is the per-increment record that
 the plug-in step reads when that evaluation ran at exactly theta_hat; on any
 other point S and dS are evaluated once more.  scipy is imported by the
-functions that use it, so `import rvolest` does not load it.
+functions that use it, so `import rvolest` does not load it.  L-BFGS-B runs
+with every OpenBLAS pinned to one thread (see `blas`).
 
 Plug-in asymptotic matrices replace (1/T) integral g(X_t, theta_0) dt by
 (1/n) sum_j g(x_{j-1}, theta_hat).  With t_k = tr(S^{-1} d_k S),
@@ -35,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from .blas import pinned_to_one_thread
 from .exceptions import SingularGamma
 from .likelihood import (ObservationPath, RobustConfig, Variant, _increments, covariate_block,
                          value_and_grad)
@@ -239,9 +241,11 @@ def estimate(
 
     import scipy.optimize
 
-    res = scipy.optimize.minimize(
-        neg_value, start, jac=neg_grad, method="L-BFGS-B", bounds=list(zip(box.lower, box.upper)),
-        options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14})
+    with pinned_to_one_thread():  # L-BFGS-B's LAPACK calls are too small to share
+        res = scipy.optimize.minimize(
+            neg_value, start, jac=neg_grad, method="L-BFGS-B",
+            bounds=list(zip(box.lower, box.upper)),
+            options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14})
     theta_hat = box.clamp(res.x)
     value, grad = -float(res.fun), -res.jac
     pg = _projected_grad(theta_hat, grad, box.lower, box.upper)

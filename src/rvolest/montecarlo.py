@@ -28,7 +28,6 @@ every key into its field, so a new output is one field and one array.
 from __future__ import annotations
 
 import csv
-import ctypes
 import multiprocessing.connection
 import os
 import threading
@@ -36,12 +35,12 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.util import Finalize
 
 import numpy as np
 
+from .blas import pinned_to_one_thread, single_thread_blas
 from .estimator import _check_alpha, estimate
 from .exceptions import RvolestError
 from .likelihood import RobustConfig, Variant
@@ -145,46 +144,6 @@ def _run_replication(args) -> dict:
     return out
 
 
-def _openblas_thread_controls() -> list:
-    """(set_num_threads, get_num_threads) of every OpenBLAS mapped into this
-    process; empty where none is loaded or /proc/self/maps cannot be read.
-    numpy and scipy each bundle their own, with prefixed symbol names."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("openblas", "scipy_openblas"):
-            for suffix in ("", "64_"):
-                try:
-                    set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                    get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                except AttributeError:
-                    continue
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                controls.append((set_threads, get_threads))
-    return controls
-
-
-def _single_thread_blas() -> None:
-    """Pool initializer: one BLAS thread per worker.  It acts only where a
-    worker did not inherit the pin of `_blas_pinned_to_one_thread`, as under
-    the spawn and forkserver start methods.  A worker forked under the pin is
-    left alone: setting the count in a forked child restarts OpenBLAS's
-    thread pool, whose new threads spin for a while and take CPU from the
-    workers."""
-    for set_threads, get_threads in _openblas_thread_controls():
-        if get_threads() != 1:
-            set_threads(1)
-
-
 def _exit_with(sentinel) -> None:
     multiprocessing.connection.wait([sentinel])
     os._exit(1)
@@ -194,24 +153,9 @@ def _init_worker() -> None:
     """Pool initializer: one BLAS thread, and a watcher that ends the worker
     when the process that started the pool dies.  A killed process shuts no
     pool down, and its idle workers would otherwise wait for jobs forever."""
-    _single_thread_blas()
+    single_thread_blas()
     sentinel = multiprocessing.parent_process().sentinel
     threading.Thread(target=_exit_with, args=(sentinel,), daemon=True).start()
-
-
-@contextmanager
-def _blas_pinned_to_one_thread():
-    """Every loaded OpenBLAS at one thread for the body, restored after it:
-    pool workers forked inside inherit the setting and start no BLAS threads."""
-    controls = _openblas_thread_controls()
-    before = [get_threads() for _, get_threads in controls]
-    for set_threads, _ in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(controls, before):
-            set_threads(count)
 
 
 # The pool that pooled plans share, as (worker count, executor, the finalizer
@@ -249,7 +193,7 @@ def _cached_pool(workers: int) -> ProcessPoolExecutor | None:
 
 def _start_pool(workers: int) -> ProcessPoolExecutor:
     """A new shared pool in place of the old one.  Its workers fork at the
-    first submit, so that submit belongs under `_blas_pinned_to_one_thread`."""
+    first submit, so that submit belongs under `pinned_to_one_thread`."""
     global _pool
     with _pool_lock:
         _close_pool()
@@ -281,13 +225,11 @@ def _run_pooled(workers: int, jobs: list) -> list:
             pass
         else:
             return _collect(results)
-    # The workers inherit the optimizer (and scipy's OpenBLAS, which the pin
-    # then covers) instead of each importing it at its first fit.
-    import scipy.optimize  # noqa: F401
     # The plan that starts the pool runs under the pin as a whole: restoring
     # the caller's BLAS thread count restarts OpenBLAS's threads, which spin
-    # for a while and would take CPU from the new workers.
-    with _blas_pinned_to_one_thread():
+    # for a while and would take CPU from the new workers.  The pin also loads
+    # the optimizer, which the workers inherit instead of each importing it.
+    with pinned_to_one_thread():
         return _collect(_start_pool(workers).map(_run_replication, jobs, chunksize=1))
 
 

@@ -10,6 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+import rvolest.blas as blas_mod
 import rvolest.montecarlo as montecarlo_mod
 from rvolest import (
     CholeskyFailure,
@@ -189,13 +190,13 @@ class TestCsvOutputs:
 
 def _blas_state():
     """(OpenBLAS thread counts, OS threads) of the calling process."""
-    counts = [get_threads() for _, get_threads in montecarlo_mod._openblas_thread_controls()]
+    counts = [get_threads() for _, get_threads in blas_mod.openblas_thread_controls()]
     return counts, len(os.listdir("/proc/self/task"))
 
 
 @pytest.fixture
 def openblas():
-    controls = montecarlo_mod._openblas_thread_controls()
+    controls = blas_mod.openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded")
     return controls
@@ -205,7 +206,7 @@ def test_pool_initializer_pins_blas_to_one_thread(openblas):
     # a worker that did not inherit the pin (under another start method,
     # say) must set one BLAS thread itself
     with ProcessPoolExecutor(max_workers=1,
-                             initializer=montecarlo_mod._single_thread_blas) as pool:
+                             initializer=blas_mod.single_thread_blas) as pool:
         counts, _ = pool.submit(_blas_state).result(timeout=120)
     assert set(counts) == {1}
 
@@ -215,9 +216,9 @@ def test_workers_forked_under_the_pin_start_no_blas_threads(openblas):
     # leaves OpenBLAS alone and no thread beyond the worker's own starts;
     # the caller's counts come back afterwards
     before = [get_threads() for _, get_threads in openblas]
-    with montecarlo_mod._blas_pinned_to_one_thread(), ProcessPoolExecutor(
+    with blas_mod.pinned_to_one_thread(), ProcessPoolExecutor(
             max_workers=1, mp_context=multiprocessing.get_context("fork"),
-            initializer=montecarlo_mod._single_thread_blas) as pool:
+            initializer=blas_mod.single_thread_blas) as pool:
         counts, os_threads = pool.submit(_blas_state).result(timeout=120)
     assert set(counts) == {1} and os_threads == 1
     assert [get_threads() for _, get_threads in openblas] == before
