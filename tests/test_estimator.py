@@ -399,6 +399,38 @@ def test_fit_keeps_its_bits(kind, expected):
     assert digest.hexdigest() == expected
 
 
+def _record_fits():
+    """The fits whose diagnostic record is pinned: the golden paths, three
+    jumpdiff replications that end on the box (rep 2 also not converged), and
+    a fit cut off after two iterations."""
+    for kind in ("external", "self-response", "d2"):
+        path, model, _ = _golden_path(kind)
+        for config in (RobustConfig.gqlf(), RobustConfig.density_power(0.5),
+                       RobustConfig.hoelder(0.5)):
+            yield estimate(path, model, config)
+    scenario = get_preset("sec6-5-jumpdiff", n=1000, seed=1)
+    model = make_builtin(scenario.model.name)
+    for rep in range(3):
+        path = simulate(scenario, replication=rep).observed
+        yield estimate(path, model, RobustConfig.gqlf(), theta0=scenario.model.theta0_array())
+    path, model, _ = _golden_path("external")
+    yield estimate(path, model, RobustConfig.density_power(0.5), OptimizerOptions(max_iters=2))
+
+
+def test_fit_record_keeps_its_bits():
+    # sha256 of each fit's diagnostic fields (float repr round-trips every
+    # bit): a refactor of how estimate judges its result must not move a flag
+    records = [tuple(value.tolist() if isinstance(value, np.ndarray) else value
+                     for value in (res.converged, res.iterations, res.nfev,
+                                   res.projected_grad_norm, res.boundary_active,
+                                   res.negative_variance, res.taper_diagnostic, res.u_stat))
+               for res in _record_fits()]
+    assert any(any(record[4]) for record in records)  # the bound rule is exercised
+    assert not all(record[0] for record in records)
+    digest = hashlib.sha256(repr(records).encode())
+    assert digest.hexdigest() == "1bbb0eec99dd3506b983e3ee7bc7ffa9f9db8e034da29662d53167d8ed76ce5a"
+
+
 @pytest.mark.parametrize("kind", ["external", "self-response", "d2",
                                   "external-c-order", "self-response-c-order"])
 @pytest.mark.parametrize("config", [RobustConfig.gqlf(), RobustConfig.density_power(0.1),
