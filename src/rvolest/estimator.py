@@ -81,7 +81,9 @@ class EstimationResult:
     nfev: int                      # objective evaluations, the plug-in step's excluded
     projected_grad_norm: float
     boundary_active: np.ndarray    # bool per coordinate
-    used_fallback: bool = False    # always False; kept for estimate.json readers
+    # always False; kept for estimate.json readers and for perfbench/spans.KEEP,
+    # which reads it until ROADMAP item 9b
+    used_fallback: bool = False
     negative_variance: list[int] = field(default_factory=list)
     taper_diagnostic: float | None = None
     u_stat: np.ndarray | None = None   # sqrt(n)(theta_hat - theta0)/sqrt(avar_ii)
@@ -104,14 +106,14 @@ _VARIANT_TABLE = {
 }
 
 
-def plugin_matrices(path, model, theta_hat, config: RobustConfig, *, record=None, features=None):
+def plugin_matrices(path, model, theta_hat, config: RobustConfig, *, record=None):
     """(gamma_hat, sigma_hat, fisher_hat) at theta_hat for the given variant.
 
-    ``record`` is likelihood's per-increment record already evaluated at
-    exactly theta_hat; without it S and dS are evaluated here, from
-    ``features`` when given.
+    ``record`` is likelihood's per-increment record evaluated at exactly
+    theta_hat, which `estimate` always hands over; without it S and dS are
+    evaluated here.
     """
-    inc = _increments(path, model, theta_hat, features=features) if record is None else record
+    inc = _increments(path, model, theta_hat) if record is None else record
     n, d, p, t = path.n, model.d, model.p, inc.t
     if d > 1:
         flat = inc.a.reshape(n, p, d * d)
@@ -191,16 +193,6 @@ def confidence_intervals(
     return ci, avar, u_stat, negative
 
 
-def _projected_grad(theta, grad, lower, upper) -> np.ndarray:
-    """Gradient with blocked (infeasible-improving) components zeroed out."""
-    pg = grad.copy()
-    at_lower = theta <= lower + 1e-12 * (1.0 + np.abs(lower))
-    at_upper = theta >= upper - 1e-12 * (1.0 + np.abs(upper))
-    pg[at_lower & (pg < 0)] = 0.0
-    pg[at_upper & (pg > 0)] = 0.0
-    return pg
-
-
 def estimate(
     path: ObservationPath,
     model: ModelSpec,
@@ -248,15 +240,16 @@ def estimate(
             options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14})
     theta_hat = box.clamp(res.x)
     value, grad = -float(res.fun), -res.jac
-    pg = _projected_grad(theta_hat, grad, box.lower, box.upper)
+    # the one active-bound rule: the projected gradient drops what pushes out of the box
+    at_lower, at_upper = theta_hat <= box.lower, theta_hat >= box.upper
+    pg = np.where((at_lower & (grad < 0)) | (at_upper & (grad > 0)), 0.0, grad)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
     converged = bool(res.success) or pg_norm <= opts.tol
-    boundary = (theta_hat <= box.lower + 1e-10) | (theta_hat >= box.upper - 1e-10)
 
-    # reuse the optimizer's record when its copied theta is theta_hat's bits
-    record = last[1] if last and last[0] == theta_hat.tobytes() else None
-    gamma, sigma, fisher = plugin_matrices(path, model, theta_hat, config, record=record,
-                                           features=features)
+    # the optimizer's record when its copied theta is theta_hat's bits
+    record = (last[1] if last and last[0] == theta_hat.tobytes()
+              else _increments(path, model, theta_hat, features=features))
+    gamma, sigma, fisher = plugin_matrices(path, model, theta_hat, config, record=record)
     try:
         ci, avar, u_stat, negative = confidence_intervals(
             theta_hat, gamma, sigma, path.n, alpha=alpha, theta0=theta0
@@ -281,7 +274,7 @@ def estimate(
         iterations=int(res.nit),
         nfev=int(res.nfev),
         projected_grad_norm=pg_norm,
-        boundary_active=boundary,
+        boundary_active=at_lower | at_upper,
         negative_variance=negative,
         u_stat=u_stat,
         taper_diagnostic=taper,

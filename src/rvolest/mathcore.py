@@ -28,19 +28,17 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 _PIVOT_RTOL = 1e-12
 
 
-def chol_spd(a: np.ndarray, index: int | None = None) -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix, or of each matrix in an (n, d, d) stack.
+def chol_spd(stack: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of each matrix in an (n, d, d) stack.
 
     Raises CholeskyFailure when a matrix has non-finite entries, the
     factorization breaks down, or its smallest pivot is below the relative
-    tolerance (near-singular S for extreme theta).  On a stack the failure's
-    ``index`` is the 1-based position of the first failing matrix; a single
-    matrix reports the caller's ``index``.
+    tolerance (near-singular S for extreme theta); the failure's ``index`` is
+    the 1-based position of the first failing matrix in the stack.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    stack = a.reshape(-1, a.shape[-1], a.shape[-1])
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected an (n, d, d) stack, got shape {stack.shape}")
     # m ends the prefix that passes every check; the first failure of any kind wins
     finite = np.isfinite(stack).all(axis=(1, 2))
     m = len(stack) if finite.all() else int(np.argmin(finite))
@@ -56,8 +54,8 @@ def chol_spd(a: np.ndarray, index: int | None = None) -> np.ndarray:
     if singular.any():
         m, message = int(np.argmax(singular)), "matrix numerically singular"
     if m < len(stack):
-        raise CholeskyFailure(message, index=m + 1 if a.ndim == 3 else index)
-    return lower.reshape(a.shape)
+        raise CholeskyFailure(message, index=m + 1)
+    return lower
 
 
 def _first_unfactorable(stack: np.ndarray) -> int:

@@ -115,8 +115,8 @@ def _as_symmetric(a) -> np.ndarray:
 def phi_power_integral(a: float, cov) -> float:
     """integral of phi(z; 0, cov)^a over R^d, equal to a^(-d/2) det(2 pi cov)^((1-a)/2).
 
-    ``cov`` may be an SPD array (factored by the library's chol_spd) or a
-    positive scalar (d=1).
+    ``cov`` may be an SPD array (factored by the library's chol_spd as a stack
+    of one) or a positive scalar (d=1).
     """
     if a <= 0:
         raise ValueError(f"power a must be > 0, got {a}")
@@ -126,7 +126,7 @@ def phi_power_integral(a: float, cov) -> float:
             raise CholeskyFailure("scalar variance not positive")
         d, logdet = 1, float(np.log(arr))
     else:
-        d, logdet = arr.shape[0], 2.0 * float(np.log(np.diagonal(chol_spd(arr))).sum())
+        d, logdet = arr.shape[0], 2.0 * float(np.log(np.diagonal(chol_spd(arr[None])[0])).sum())
     log_val = -0.5 * d * np.log(a) + 0.5 * (1.0 - a) * (d * LOG_2PI + logdet)
     return float(np.exp(log_val))
 
