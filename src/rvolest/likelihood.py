@@ -51,7 +51,8 @@ LAMBDA_BAR = 2.0
 @dataclass(frozen=True)
 class ObservationPath:
     """Equally spaced sample (t_j, X_{t_j}, Y_{t_j}), j = 0..n, with t_j = j T / n;
-    its arrays, and eps (`scaled_increments`, computed once), are read-only."""
+    its arrays are finite, and they and eps (`scaled_increments`, computed once)
+    are read-only."""
 
     n: int
     T: float
@@ -69,6 +70,8 @@ class ObservationPath:
             raise ValueError("need n >= 1 and finite T > 0")
         if times.shape != (self.n + 1,) or responses.shape[0] != self.n + 1:
             raise ValueError("times and responses must have length n+1")
+        _check_finite("times", times)
+        _check_finite("responses", responses)
         expected = np.arange(self.n + 1) * (self.T / self.n)
         if np.max(np.abs(times - expected)) > 1e-9 * max(self.T, 1.0):
             raise ValueError("times must equal j*T/n (equally spaced grid)")
@@ -79,6 +82,7 @@ class ObservationPath:
                 covariates = covariates[:, None]
             if covariates.shape[0] != self.n + 1:
                 raise ValueError("covariates must have length n+1")
+            _check_finite("covariates", covariates)
             covariates.setflags(write=False)
         eps = np.diff(responses, axis=0) / np.sqrt(self.T / self.n)
         for arr in (times, responses, eps):
@@ -95,6 +99,14 @@ class ObservationPath:
     @property
     def d(self) -> int:
         return self.responses.shape[1]
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    """Raises ValueError naming the first row of ``arr`` that holds a NaN or an infinity."""
+    bad = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"{name} must be finite, but row {j} holds {arr[j].tolist()}")
 
 
 def scaled_increments(path: ObservationPath) -> np.ndarray:

@@ -61,6 +61,9 @@ class ExperimentPlan:
             object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         _check_alpha(self.alpha)
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not self.estimators or not all(isinstance(c, RobustConfig) for c in self.estimators):
+            raise ValueError("estimators must be one or more RobustConfig, "
+                             f"got {self.estimators!r}")
 
 
 def estimator_label(config: RobustConfig) -> tuple[str, float]:

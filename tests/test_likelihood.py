@@ -269,6 +269,21 @@ class TestValidationAndErrors:
             ObservationPath(n=2, T=T, times=np.array([0.0, 0.5, 1.0]),
                             covariates=None, responses=np.zeros(3))
 
+    @pytest.mark.parametrize("field, value", [
+        ("responses", np.nan), ("responses", np.inf), ("times", np.nan),
+        ("covariates", -np.inf),
+    ], ids=["nan-response", "inf-response", "nan-time", "inf-covariate"])
+    def test_path_rejects_non_finite_data(self, field, value):
+        # a NaN response used to fail the fit as "matrix not SPD", an infinite
+        # one to give theta_hat = 0 with objective -inf, and a NaN time passed
+        # the grid check (NaN compares false)
+        path = simulate(get_preset("sec6-1-spike", n=400, seed=3)).observed
+        arrays = {name: np.array(getattr(path, name))
+                  for name in ("times", "responses", "covariates")}
+        arrays[field][7:9] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, but row 7 holds"):
+            ObservationPath(n=path.n, T=path.T, **arrays)
+
     def test_scaled_increments_recomputable(self, rng):
         path, _ = make_exp_linear_path(rng, n=16)
         eps = scaled_increments(path)

@@ -144,6 +144,15 @@ class TestRunPlan:
                            estimators=(RobustConfig.gqlf(),), replications=2,
                            alpha=alpha)
 
+    @pytest.mark.parametrize("estimators", [(), (RobustConfig.gqlf(), "dp")],
+                             ids=["none", "not-a-config"])
+    def test_estimators_validated(self, estimators):
+        # no estimators used to simulate every replication and write a
+        # summary.csv with a header only
+        with pytest.raises(ValueError, match="^estimators must be one or more RobustConfig"):
+            ExperimentPlan(scenario=get_preset("sec6-1-spike", n=150),
+                           estimators=estimators, replications=3)
+
     def test_mean_tracks_truth_on_clean_data(self):
         plan = small_plan(replications=8, preset="sec6-1-clean", n=400,
                           estimators=(RobustConfig.gqlf(),))
