@@ -240,13 +240,13 @@ def estimate(
             options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14})
     theta_hat = box.clamp(res.x)
     value, grad = -float(res.fun), -res.jac
-    # the one active-bound rule: the projected gradient drops what pushes out of the box
+    # exact active bounds of the clamped theta_hat; pg drops what pushes out of the box there
     at_lower, at_upper = theta_hat <= box.lower, theta_hat >= box.upper
     pg = np.where((at_lower & (grad < 0)) | (at_upper & (grad > 0)), 0.0, grad)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
     converged = bool(res.success) or pg_norm <= opts.tol
 
-    # the optimizer's record when its copied theta is theta_hat's bits
+    # the optimizer's record when its copied theta is theta_hat's bits, else a new one
     record = (last[1] if last and last[0] == theta_hat.tobytes()
               else _increments(path, model, theta_hat, features=features))
     gamma, sigma, fisher = plugin_matrices(path, model, theta_hat, config, record=record)

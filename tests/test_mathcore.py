@@ -207,6 +207,10 @@ class TestSpdMatrix:
             chol_spd(np.diag([1.0, 1e-14])[None])
         chol_spd(np.diag([1.0, 1e-10])[None])  # fine
 
+    def test_takes_only_a_stack(self):
+        with pytest.raises(ValueError, match=r"expected an \(n, d, d\) stack"):
+            chol_spd(np.eye(2))
+
     def test_stack_matches_numpy(self, rng):
         stack = np.stack([random_spd(rng, 3) for _ in range(20)])
         np.testing.assert_array_equal(chol_spd(stack), np.linalg.cholesky(stack))
