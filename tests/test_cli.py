@@ -310,6 +310,24 @@ class TestMonteCarloCommand:
         for name in ("raw_theta.csv", "raw_u.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("flags, expected", [
+        (["--preset", "sec6-5-jumpdiff", "--variant", "gqlf,dp", "--lambda", "0.1"],
+         ("ee3185c4d92b443a9dc413c3b3b54a09f64a0e11dfb54ef25bc021ebc217ef61",
+          "4bf5688e501f4b99b4dfa5ce3ac6496ca4816fc8ca84fb51edf63d13717d5915")),
+        (["--preset", "sec6-1-spike", "--variant", "gqlf,dp,holder", "--lambda", "0.1,0.5"],
+         ("1a0acf22823f57ac25fffa97775584209186d5789327eb04618b6e1e3bafb09e",
+          "7bed623fa296b55782f4e7cc6f91cd29f5852a728fced9bb362215918302f038")),
+    ], ids=["jumpdiff", "spike"])
+    def test_raw_csvs_keep_their_bytes(self, flags, expected, tmp_path):
+        # sha256 of raw_theta.csv and raw_u.csv of a serial run: a refactor of the
+        # fit must reproduce every byte
+        out = tmp_path / "mc"
+        assert run(["montecarlo", *flags, "--n", "1000", "--seed", "1", "--reps", "4",
+                    "--threads", "1", "--out", out]) == 0
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("raw_theta.csv", "raw_u.csv"))
+        assert got == expected
+
     def test_env_var_thread_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RVOLEST_THREADS", "2")
         out = tmp_path / "mc"
