@@ -219,23 +219,16 @@ def estimate(
 
     features = model.feature_block(covariate_block(path, model))  # theta-free: once per fit
     last = []  # [theta bytes, record] of the latest evaluation
-    latest = [None, None]  # [theta bytes, negated gradient] of the latest evaluation
 
-    def neg_value(theta):
+    def negated(theta):  # the value and gradient of one evaluation
         val, grad = value_and_grad(path, model, theta, config, keep=last, features=features)
-        latest[:] = [np.asarray(theta, dtype=float).tobytes(), -grad]
-        return -val
-
-    def neg_grad(theta):  # the gradient of the evaluation that gave the value
-        if np.asarray(theta, dtype=float).tobytes() != latest[0]:
-            neg_value(theta)
-        return latest[1]
+        return -val, -grad
 
     import scipy.optimize
 
     with pinned_to_one_thread():  # L-BFGS-B's LAPACK calls are too small to share
         res = scipy.optimize.minimize(
-            neg_value, start, jac=neg_grad, method="L-BFGS-B",
+            negated, start, jac=True, method="L-BFGS-B",
             bounds=list(zip(box.lower, box.upper)),
             options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14})
     theta_hat = box.clamp(res.x)

@@ -16,20 +16,26 @@ the weight to 0, which is the correct limit.
 
 `value_and_grad` is the one entry point: it returns the configured
 objective and its analytic theta-gradient together, from one evaluation of
-S and dS.  All functions are pure; per-increment terms are reduced with
-np.sum (fixed pairwise topology), so results are bit-stable for a given input.
+S and dS, through one closed-form kernel for every variant and every d.  With
+Q_jk = eps_j' S_j^{-1} d_k S_j S_j^{-1} eps_j, each increment adds
+(a_j t_j + b_j Q_j) / 2 to the gradient, with per-variant weights a and b; for
+d = 1, Q = quad t, so the gradient is ((a + b quad) @ t) / 2.  All functions
+are pure; per-increment terms are reduced with np.sum or one matrix product,
+so results are bit-stable for a given input.
 
-One private producer, `_increments`, evaluates S(x_{j-1}, theta) and dS
-along the path, checks or factors S = L L' and rejects a path that does not
-fit the model's dimensions.  S and dS read the model's theta-free features of
-the covariate block (`ModelSpec.feature_block`): `estimate` computes them once
-per fit, a one-call API once per call.  The per-increment record holds
-log det S_j, eps_j' S_j^{-1} eps_j and t_jk = tr(S_j^{-1} d_k S_j); for d = 1
-also S_j, for d >= 2 also z_j = L_j^{-1} eps_j and A_jk = L_j^{-1} d_k S_j
-L_j^{-T}, with t_jk = tr A_jk.  For d = 1, t = dS / S keeps the layout of dS,
-which the builtins make parameter-major, so the gradient and the plug-in Gram
-products run along n.  The objective, `estimator.plugin_matrices` and
-`clustering.residuals` read it; residuals ask only for the whitening, without dS.
+One private producer, `_increments`, evaluates S(x_{j-1}, theta) and dS along
+the path, checks or factors S = L L' and rejects a theta that is not p finite
+numbers or a path that does not fit the model's dimensions.  S and dS read the
+model's theta-free features of the covariate block
+(`ModelSpec.feature_block`): `estimate` computes them once per fit, a
+one-call API once per call.  The per-increment record holds log det S_j,
+eps_j' S_j^{-1} eps_j and t_jk = tr(S_j^{-1} d_k S_j); for d = 1 also S_j,
+for d >= 2 also z_j = L_j^{-1} eps_j and A_jk = L_j^{-1} d_k S_j L_j^{-T},
+with t_jk = tr A_jk.  For d = 1, t = dS / S keeps the layout of dS, which the
+builtins make parameter-major, so the gradient and the plug-in Gram products
+run along n.  The objective, `estimator.plugin_matrices` and
+`clustering.residuals` read it; residuals ask only for the whitening, without
+dS.
 """
 
 from __future__ import annotations
@@ -182,11 +188,14 @@ def _increments(path, model, theta, whiten_only: bool = False, features=None) ->
     """The one evaluation of S and, unless ``whiten_only``, dS along the path,
     from the model's ``features`` of the path (computed here when absent).
 
-    Raises ValueError when the path does not fit the model's dimensions, and
-    CholeskyFailure with the 1-based index of the first S_j that is not SPD
-    (for d = 1: not finite and positive), before dS is evaluated.
+    Raises ValueError unless theta is p finite numbers and the path fits the
+    model's dimensions, and CholeskyFailure with the 1-based index of the first
+    S_j that is not SPD (for d = 1: not finite and positive), before dS is
+    evaluated.
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.p,) or not np.isfinite(theta).all():
+        raise ValueError(f"theta must be p = {model.p} finite numbers, got {theta.tolist()}")
     x_block = covariate_block(path, model)
     features = model.feature_block(x_block) if features is None else features
     eps = scaled_increments(path)
@@ -211,56 +220,49 @@ def _increments(path, model, theta, whiten_only: bool = False, features=None) ->
                        t=np.trace(a, axis1=2, axis2=3), a=a)
 
 
-def _objective_d1(inc: _Increments, config: RobustConfig):
-    """Closed-form d = 1 (value, grad).  Scratch arrays are written in place, in the
-    operation order of the expressions in the comments; the record is only read."""
-    q, log_s, t = inc.quad, inc.log_det, inc.t
-    if config.variant is Variant.GQLF:  # -sum(log_s + q) / 2, -((1 - q) @ t) / 2
-        buf = np.add(log_s, q)
-        return -0.5 * float(np.sum(buf)), -0.5 * (np.subtract(1.0, q, out=buf) @ t)
-    lam = config.lam
-    w = np.add(q, LOG_2PI)  # w = exp(-lam/2 (LOG_2PI + q)) = phi(S^{-1/2} eps)^lam
-    np.exp(np.multiply(w, -0.5 * lam, out=w), out=w)
-    if config.variant is Variant.DENSITY_POWER:
-        kconst = k_const(lam, 1)
-        taper = np.multiply(log_s, -0.5 * lam)  # taper = exp(-lam/2 log_s)
-        np.exp(taper, out=taper)
-        buf = np.divide(w, lam)  # value = sum(taper (w / lam - kconst))
-        buf -= kconst
-        value = float(np.sum(np.multiply(buf, taper, out=buf)))
-        np.subtract(q, 1.0, out=buf)  # grad = (taper (w (q - 1) + lam kconst)) @ t / 2
-        buf *= w
-        buf += lam * kconst
-        return value, 0.5 * (np.multiply(buf, taper, out=buf) @ t)
+def _objective(inc: _Increments, d: int, config: RobustConfig):
+    """Closed-form (value, grad) for every d, with Q_jk = z_j' A_jk z_j for d >= 2.
 
-    # Hoelder-based: value = sum(taper w) / lam, grad = (taper w (q - 1/(lam+1))) @ t / 2
-    taper = np.multiply(log_s, -0.5 * lam / (lam + 1.0))  # taper = exp(-lam/(2(lam+1)) log_s)
-    np.multiply(np.exp(taper, out=taper), w, out=taper)
-    np.subtract(q, 1.0 / (lam + 1.0), out=w)
-    return float(np.sum(taper)) / lam, 0.5 * (np.multiply(w, taper, out=w) @ t)
-
-
-def _objective_matrix(inc: _Increments, d: int, config: RobustConfig):
-    """Batched d >= 2 (value, grad), with eps' S^{-1} d_k S S^{-1} eps = z' A_k z."""
-    log_det, quad, t = inc.log_det, inc.quad, inc.t
-    q = np.einsum("ja,jkab,jb->jk", inc.z, inc.a, inc.z)
-
-    lam = config.lam
-    if config.variant is Variant.GQLF:
-        values = -0.5 * (log_det + quad)
-        grads = -0.5 * (t - q)
+    The variant sets weights g, b (None: 1) and constants r, c (c only with g).
+    The gradient is ((g (c - r b)) @ t + (g b) @ Q) / 2, which for d = 1 is
+    (g ((quad - r) b + c)) @ t / 2.  Scratch arrays are written in place, in the
+    operation order of the comments; the record is only read.
+    """
+    q, log_det, t, lam = inc.quad, inc.log_det, inc.t, config.lam
+    g = b = None
+    r = 1.0
+    if config.variant is Variant.GQLF:  # value = -sum(log_det + q) / 2
+        buf = np.add(log_det, q)
+        value = -0.5 * float(np.sum(buf))
     else:
-        w = np.exp(-0.5 * lam * (d * LOG_2PI + quad))
+        w = np.add(q, d * LOG_2PI)  # w = exp(-lam/2 (d LOG_2PI + q)) = phi(S^{-1/2} eps)^lam
+        np.exp(np.multiply(w, -0.5 * lam, out=w), out=w)
         if config.variant is Variant.DENSITY_POWER:
             kconst = k_const(lam, d)
-            taper = np.exp(-0.5 * lam * log_det)
-            values = taper * (w / lam - kconst)
-            grads = 0.5 * taper[:, None] * (w[:, None] * (q - t) + lam * kconst * t)
-        else:
-            taper = np.exp(-0.5 * lam / (lam + 1.0) * log_det)
-            values = taper * w / lam
-            grads = 0.5 * (taper * w)[:, None] * (q - t / (lam + 1.0))
-    return float(np.sum(values)), np.sum(grads, axis=0)
+            g = np.multiply(log_det, -0.5 * lam)  # g = exp(-lam/2 log_det)
+            np.exp(g, out=g)
+            buf = np.divide(w, lam)  # value = sum(g (w / lam - kconst))
+            buf -= kconst
+            value = float(np.sum(np.multiply(buf, g, out=buf)))
+            b, c = w, lam * kconst
+        else:  # Hoelder-based: value = sum(b) / lam, b = exp(-lam/(2(lam+1)) log_det) w
+            b = np.multiply(log_det, -0.5 * lam / (lam + 1.0))
+            np.multiply(np.exp(b, out=b), w, out=b)
+            value = float(np.sum(b)) / lam
+            buf, r = w, 1.0 / (lam + 1.0)
+    # the coefficient of t: g ((quad - r) b + c) for d = 1, g (c - r b) for d >= 2
+    coef = np.subtract(q if d == 1 else 0.0, r, out=buf)
+    if b is not None:
+        coef *= b
+    if g is not None:
+        coef += c
+        coef *= g
+    grad = coef @ t
+    if d > 1:
+        q_form = np.einsum("ja,jkab,jb->jk", inc.z, inc.a, inc.z)
+        weight = b if g is None else g * b
+        grad += q_form.sum(axis=0) if weight is None else weight @ q_form
+    return value, 0.5 * grad
 
 
 def value_and_grad(path, model, theta, config, *, keep: list | None = None, features=None
@@ -277,6 +279,4 @@ def value_and_grad(path, model, theta, config, *, keep: list | None = None, feat
     inc = _increments(path, model, theta, features=features)
     if keep is not None:
         keep[:] = [np.asarray(theta, dtype=float).tobytes(), inc]
-    if model.d == 1:
-        return _objective_d1(inc, config)
-    return _objective_matrix(inc, model.d, config)
+    return _objective(inc, model.d, config)

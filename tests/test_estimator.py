@@ -359,7 +359,7 @@ def _golden_path(kind):
 @pytest.mark.parametrize("kind, expected", [
     ("external", "7ba14c7567eb9b550c926a8eb4e64ba161aed80d563f0ac446e0157c1c193b6e"),
     ("self-response", "db4b1dc594cdd193edc4c3b5c1c047e7a85f7aa9e03c3a23143cca0ed4f43b7d"),
-    ("d2", "dfb2c1cdd1c6239a326225e3242dd1bff4e50813cc81fbe9c85e3cafaf6f3ce2"),
+    ("d2", "4cc4f714d8899a10117741625df31da9c9c8868d842ed05d6f9216171eb30c4c"),
 ])
 def test_estimation_layer_keeps_its_bits(kind, expected):
     # sha256 of the objective at a fixed theta, of every fit output and of the
@@ -381,7 +381,7 @@ def test_estimation_layer_keeps_its_bits(kind, expected):
 @pytest.mark.parametrize("kind, expected", [
     ("external", "98046282cdc7e82ce358dd308d4dd72f2ebd9e278689011851f2b31d8b52b006"),
     ("self-response", "ef15375f2f5f3a4488bf2715707bdbed9111b246784621efd402cb30d4530aa2"),
-    ("d2", "1a6b0d37b1a4110c58bdeaaabd397cd8f0f51896d64aeef63ee19770b18d1230"),
+    ("d2", "98986f3bd74d318f7a55cbfa3612795171c21b359b6d25beba9c4a6ed68eef8b"),
 ])
 def test_fit_keeps_its_bits(kind, expected):
     # sha256 of the objective at a fixed theta, of theta_hat, of the objective
@@ -428,7 +428,7 @@ def test_fit_record_keeps_its_bits():
     assert any(any(record[4]) for record in records)  # the bound rule is exercised
     assert not all(record[0] for record in records)
     digest = hashlib.sha256(repr(records).encode())
-    assert digest.hexdigest() == "1bbb0eec99dd3506b983e3ee7bc7ffa9f9db8e034da29662d53167d8ed76ce5a"
+    assert digest.hexdigest() == "b13f49678c830d55e5efd466a2691fe9c6dad671a34df7c8b8e3eb18d5b01e6f"
 
 
 @pytest.mark.parametrize("kind", ["external", "self-response", "d2",

@@ -347,6 +347,32 @@ class TestValidationAndErrors:
         with pytest.raises(ValueError, match=re.escape(said)):
             call(path, make_builtin(name))
 
+    @pytest.mark.parametrize("call", [
+        lambda path, model, theta: value_and_grad(path, model, theta, DP(0.5)),
+        lambda path, model, theta: plugin_matrices(path, model, theta, DP(0.5)),
+        lambda path, model, theta: residuals(path, model, theta),
+    ], ids=["value_and_grad", "plugin_matrices", "residuals"])
+    @pytest.mark.parametrize("name, theta, said", [
+        ("rational-diffusion", [2.0, 3.0, 99.0], "theta must be p = 2 finite numbers, got "
+                                                 "[2.0, 3.0, 99.0]"),
+        ("rational-diffusion", [2.0], "theta must be p = 2 finite numbers, got [2.0]"),
+        ("exp-linear-3", [-2.0, np.nan, 0.0], "theta must be p = 3 finite numbers, got "
+                                              "[-2.0, nan, 0.0]"),
+    ], ids=["too-long", "too-short", "nan"])
+    def test_theta_that_does_not_fit_the_model(self, call, name, theta, said, rng):
+        # a longer theta used to give a gradient of length p, a shorter one an
+        # IndexError and a NaN one a CholeskyFailure
+        model = make_builtin(name)
+        n = 20
+        times = np.arange(n + 1) / n
+        path = ObservationPath(
+            n=n, T=1.0, times=times,
+            covariates=np.cos(np.outer(times, [1, 2, 3])) if name == "exp-linear-3" else None,
+            responses=1.0 + np.cumsum(rng.normal(0.0, 0.2, n + 1)),
+        )
+        with pytest.raises(ValueError, match=re.escape(said)):
+            call(path, model, np.array(theta))
+
     def test_simulated_const_levy_path_fits(self):
         # a simulated external path carries as many trig covariates as the
         # model reads

@@ -1,6 +1,6 @@
 """End-to-end checks of the d >= 2 matrix path (likelihood, estimation,
 plug-in matrices, residuals) on a correlated bivariate family, and of the
-batched kernel against a per-increment reference at d = 2 and d = 3."""
+one objective kernel against a per-increment reference at d = 1, 2 and 3."""
 
 import numpy as np
 import pytest
@@ -171,7 +171,7 @@ def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_batched_kernel_matches_per_increment_reference(d, rng):
     n = 60
     model = coupled_model(d)
@@ -187,7 +187,10 @@ def test_batched_kernel_matches_per_increment_reference(d, rng):
     assert_close(inc.log_det, log_det)
     assert_close(inc.quad, quad)
     assert_close(inc.t, t)
-    assert_close(np.einsum("jkab,jlba->jkl", inc.a, inc.a), v)
+    if d == 1:  # v = t t'
+        assert_close(inc.t[:, :, None] * inc.t[:, None, :], v)
+    else:
+        assert_close(np.einsum("jkab,jlba->jkl", inc.a, inc.a), v)
     assert_close(residuals(path, model, theta), np.sqrt(quad))
 
 
