@@ -387,6 +387,24 @@ class TestClusterCommand:
         assert rows[0] == ["K", "size_D", "log_size_D"]
         assert [int(r[0]) for r in rows[1:]] == [2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("flags, expected", [
+        (["--k-range", "2:10"],
+         {"clusters.csv": "8a320c39d1444aef830bbdd89e29ee5170d2ff897e502f18bb7d6eab271e90a2",
+          "k_sweep.csv": "71aafdf71cc91794de11e8e1f3c6aab6a079c3fd0062ca8793155edfe9d1a38b"}),
+        (["--k", "3"],
+         {"clusters.csv": "8a320c39d1444aef830bbdd89e29ee5170d2ff897e502f18bb7d6eab271e90a2"}),
+    ], ids=["scan", "fixed-k"])
+    def test_files_keep_their_bytes(self, flags, expected, tmp_path, capsys):
+        # sha256 of the written files; the scan suggests K=3 on this path, so a
+        # fixed --k 3 must write the scan's clusters.csv
+        out = tmp_path / "cl"
+        assert run(["cluster", "--preset", "sec6-1-spike", "--n", "1000", "--seed", "1",
+                    *flags, "--out", out]) == 0
+        assert capsys.readouterr().out.startswith("K=3: ")
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.iterdir())}
+        assert got == expected
+
     def test_bad_k_range(self, tmp_path):
         assert run(["cluster", "--preset", "sec6-1-spike", "--n", "100",
                     "--k-range", "abc", "--out", tmp_path]) == 2
