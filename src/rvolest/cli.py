@@ -315,17 +315,14 @@ def cmd_cluster(args) -> int:
     res = estimate(path, model, config)
     eps_hat = residuals(path, model, res.theta_hat)
 
-    if args.k is not None:
-        chosen_k = args.k
-        sweep = None
-    else:
+    if args.k is None:
         sweep = suggest_k(eps_hat, ks, seed=args.kmeans_seed)
-        chosen_k = sweep.suggested_k
+        part = sweep.partition
         if not sweep.abrupt_found:
             print(f"no abrupt change in |D| over K={k_range}; "
-                  f"fell back to the top of the range, K={chosen_k}")
-
-    part = kmeans(eps_hat, chosen_k, seed=args.kmeans_seed)
+                  f"fell back to the top of the range, K={part.k}")
+    else:
+        sweep, part = None, kmeans(eps_hat, args.k, seed=args.kmeans_seed)
     part = merge_consecutive(part, MergeMode(args.merge))
 
     os.makedirs(args.out, exist_ok=True)
@@ -336,7 +333,7 @@ def cmd_cluster(args) -> int:
         write_rows(os.path.join(args.out, "k_sweep.csv"), ["K", "size_D", "log_size_D"],
                    ([k, size, np.log(max(size, 1))] for k, size in zip(sweep.ks, sweep.d_sizes)))
     flagged = int(part.in_d.sum())
-    print(f"K={chosen_k}: flagged {flagged} of {path.n} increments; "
+    print(f"K={part.k}: flagged {flagged} of {path.n} increments; "
           f"wrote clusters.csv in {args.out}")
     return 0
 

@@ -16,7 +16,7 @@ per-increment record, produced without dS.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,7 +103,8 @@ def kmeans(values, k: int, seed: int = 0) -> Partition:
     diffusive bulk, at which point |D| explodes); extreme-seeking seedings
     such as farthest-point instead keep subdividing the outlier range
     indefinitely and never show the break.  Deterministic for fixed
-    (values, k, seed).  Raises DegenerateInput when every value is identical.
+    (values, k, seed).  Raises ValueError naming the first non-finite value,
+    and DegenerateInput when every value is identical.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     n = values.shape[0]
@@ -111,6 +112,9 @@ def kmeans(values, k: int, seed: int = 0) -> Partition:
         raise ValueError("need k >= 2")
     if n < k:
         raise ValueError(f"need at least k={k} values, got {n}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"values[{bad[0]}] is {values[bad[0]]}, not a finite number")
     if np.ptp(values) == 0.0:
         raise DegenerateInput("all values identical; nothing to cluster")
 
@@ -146,6 +150,7 @@ class KSweepResult:
     d_sizes: tuple[int, ...]
     suggested_k: int
     abrupt_found: bool
+    partition: Partition = field(compare=False, repr=False)  # the scan's, at suggested_k
 
 
 def _check_k_range(k_range) -> list[int]:
@@ -164,8 +169,9 @@ def suggest_k(
     seed: int = 0,
     threshold: float = 8.0,
 ) -> KSweepResult:
-    """Scan K, watch |D|, and suggest K = k0 - 1 where |D| first grows by more
-    than `threshold` between consecutive K.  Without such a change the scan is
+    """Scan K, watch |D|, and suggest the scanned K just before the first one
+    where |D| grows by more than `threshold` over the previous scanned K, with
+    the scan's partition there.  Without such a change the scan is
     inconclusive and the max of the range is suggested with abrupt_found=False.
 
     The default threshold separates the two growth regimes seen on residual
@@ -174,16 +180,12 @@ def suggest_k(
     first splits off the diffusive bulk.
     """
     ks = _check_k_range(k_range)
-    sizes = []
-    for k in ks:
-        part = kmeans(values, k, seed=seed)
-        sizes.append(int(part.in_d.sum()))
-    for i in range(1, len(ks)):
-        if sizes[i] >= threshold * max(sizes[i - 1], 1):
-            return KSweepResult(ks=tuple(ks), d_sizes=tuple(sizes),
-                                suggested_k=ks[i] - 1, abrupt_found=True)
-    return KSweepResult(ks=tuple(ks), d_sizes=tuple(sizes),
-                        suggested_k=ks[-1], abrupt_found=False)
+    parts = [kmeans(values, k, seed=seed) for k in ks]
+    sizes = tuple(int(part.in_d.sum()) for part in parts)
+    breaks = [i for i in range(1, len(ks)) if sizes[i] >= threshold * max(sizes[i - 1], 1)]
+    i = breaks[0] - 1 if breaks else len(ks) - 1
+    return KSweepResult(ks=tuple(ks), d_sizes=sizes, suggested_k=ks[i],
+                        abrupt_found=bool(breaks), partition=parts[i])
 
 
 class MergeMode(enum.Enum):

@@ -134,6 +134,7 @@ class RobustConfig:
     lam: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", Variant(self.variant))  # ValueError if unknown
         if self.variant is not Variant.GQLF:
             if not (0.0 < self.lam <= LAMBDA_BAR):
                 raise ValueError(f"lambda must lie in (0, {LAMBDA_BAR}], got {self.lam}")

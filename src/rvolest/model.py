@@ -147,26 +147,25 @@ class ModelSpec:
 
     def s_values(self, x_block: np.ndarray, theta: np.ndarray, *, features=None) -> np.ndarray:
         """S along a covariate block; (n,) for d=1, else (n, d, d)."""
-        shape = (len(x_block),) if self.d == 1 else (len(x_block), self.d, self.d)
-        if self.s_path is None:
-            return np.array([np.asarray(self.S(x, theta), dtype=float)
-                             for x in x_block]).reshape(shape)
-        features = self.feature_block(x_block) if features is None else features
-        return self._checked("s_path", self.s_path(features, theta), shape)
+        return self._values("s_path", "S", (), x_block, theta, features)
 
     def ds_values(self, x_block: np.ndarray, theta: np.ndarray, *, features=None) -> np.ndarray:
         """dS along a covariate block; (n, p) for d=1, else (n, p, d, d)."""
-        shape = (len(x_block), self.p) + ((self.d, self.d) if self.d > 1 else ())
-        if self.ds_path is None:
-            return np.array([np.asarray(self.dS(x, theta), dtype=float)
+        return self._values("ds_path", "dS", (self.p,), x_block, theta, features)
+
+    def _values(self, vectorized: str, pointwise: str, lead: tuple, x_block, theta,
+                features) -> np.ndarray:
+        """The named vectorized map on the block's features, else the pointwise one by rows."""
+        shape = (len(x_block), *lead) + ((self.d, self.d) if self.d > 1 else ())
+        fn = getattr(self, vectorized)
+        if fn is None:
+            fn = getattr(self, pointwise)
+            return np.array([np.asarray(fn(x, theta), dtype=float)
                              for x in x_block]).reshape(shape)
         features = self.feature_block(x_block) if features is None else features
-        return self._checked("ds_path", self.ds_path(features, theta), shape)
-
-    def _checked(self, what: str, values, shape: tuple) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(fn(features, theta), dtype=float)
         if values.shape != shape:
-            raise ValueError(f"model {self.name!r}: {what} returned shape "
+            raise ValueError(f"model {self.name!r}: {vectorized} returned shape "
                              f"{values.shape}, expected {shape}")
         return values
 

@@ -12,7 +12,9 @@ from oracles import objective
 
 from rvolest import EstimationResult, ObservationPath, RobustConfig, make_builtin
 import rvolest.cli as cli_mod
+import rvolest.clustering as clustering_mod
 from rvolest.cli import main, read_path_csv
+from rvolest.clustering import kmeans
 
 
 def run(args):
@@ -404,6 +406,23 @@ class TestClusterCommand:
         got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(out.iterdir())}
         assert got == expected
+
+    @pytest.mark.parametrize("flags, calls", [(["--k-range", "2:10"], 9), (["--k", "3"], 1)],
+                             ids=["scan", "fixed-k"])
+    def test_one_kmeans_per_k(self, flags, calls, tmp_path, monkeypatch):
+        # the scan hands back its partition at the suggested K instead of
+        # fitting that K again
+        ks = []
+
+        def counted(values, k, seed=0):
+            ks.append(k)
+            return kmeans(values, k, seed)
+
+        monkeypatch.setattr(clustering_mod, "kmeans", counted)
+        monkeypatch.setattr(cli_mod, "kmeans", counted)
+        assert run(["cluster", "--preset", "sec6-1-spike", "--n", "1000", "--seed", "1",
+                    *flags, "--out", tmp_path / "cl"]) == 0
+        assert len(ks) == calls and len(set(ks)) == calls
 
     def test_bad_k_range(self, tmp_path):
         assert run(["cluster", "--preset", "sec6-1-spike", "--n", "100",

@@ -112,6 +112,19 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(rng.random(3), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_naming_its_index(self, bad, rng, monkeypatch):
+        def no_lloyd(*args, **kwargs):
+            raise AssertionError("a Lloyd pass ran on non-finite values")
+
+        monkeypatch.setattr("rvolest.clustering._lloyd", no_lloyd)
+        values = rng.exponential(size=200)
+        values[[57, 120]] = bad
+        with pytest.raises(ValueError, match=r"^values\[57\] is -?(nan|inf), not a finite"):
+            kmeans(values, 3)
+        with pytest.raises(ValueError, match=r"^values\[57\] is"):
+            suggest_k(values, range(2, 5))
+
     def test_flagged_mean_exceeds_kept_mean(self, rng):
         sc = get_preset("sec6-1-spike", n=2000, seed=4)
         bundle = simulate(sc)
@@ -172,6 +185,29 @@ class TestSuggestK:
         sweep = suggest_k(values, range(2, 6), threshold=50.0)
         assert not sweep.abrupt_found
         assert sweep.suggested_k == 5
+
+    def test_gapped_range_suggests_the_scanned_k_before_the_break(self):
+        # |D| jumps between K = 2 and K = 4: the suggestion is 2, a scanned K,
+        # not 4 - 1 = 3
+        values = np.abs(np.random.default_rng(0).standard_t(2, size=500))
+        sweep = suggest_k(values, [2, 4, 8, 9], seed=0)
+        assert sweep.ks == (2, 4, 8, 9)
+        assert sweep.d_sizes[1] >= 8 * sweep.d_sizes[0]
+        assert sweep.abrupt_found and sweep.suggested_k == 2
+
+    @pytest.mark.parametrize("k_range, threshold", [
+        ([2, 4, 8, 9], 8.0), (range(2, 6), 50.0), (range(2, 8), 5.0),
+    ], ids=["gapped", "no-break", "contiguous"])
+    def test_partition_is_kmeans_at_the_suggested_k(self, k_range, threshold):
+        values = np.abs(np.random.default_rng(0).standard_t(2, size=500))
+        sweep = suggest_k(values, k_range, seed=3, threshold=threshold)
+        again = kmeans(values, sweep.suggested_k, seed=3)
+        part = sweep.partition
+        assert part.k == sweep.suggested_k
+        np.testing.assert_array_equal(part.labels, again.labels)
+        np.testing.assert_array_equal(part.centers, again.centers)
+        np.testing.assert_array_equal(part.sizes, again.sizes)
+        assert part.wcss == again.wcss
 
     def test_invalid_range(self, rng):
         with pytest.raises(ValueError):

@@ -251,6 +251,26 @@ class TestValidationAndErrors:
         assert RobustConfig.hoelder(LAMBDA_BAR).lam == LAMBDA_BAR  # closed at the bar
         assert RobustConfig.gqlf().variant is Variant.GQLF
 
+    @pytest.mark.parametrize("name, lam", [("gqlf", 0.0), ("dp", 0.5), ("holder", 0.5)])
+    def test_robust_config_coerces_a_variant_name(self, name, lam):
+        # a name used to reach the objective as a str: "dp" evaluated the
+        # Hoelder objective and estimate died with KeyError: 'dp'
+        config = RobustConfig(name, lam)
+        assert config.variant is Variant(name) and config == RobustConfig(Variant(name), lam)
+        path = simulate(get_preset("sec6-1-spike", n=500, seed=3)).observed
+        model = make_builtin("exp-linear-3")
+        theta = np.array([-2.0, 3.0, 0.0])
+        got = value_and_grad(path, model, theta, config)
+        want = value_and_grad(path, model, theta, RobustConfig(Variant(name), lam))
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+        assert estimate(path, model, config).theta_hat.tolist() == \
+            estimate(path, model, RobustConfig(Variant(name), lam)).theta_hat.tolist()
+
+    def test_robust_config_rejects_an_unknown_variant(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid Variant"):
+            RobustConfig("bogus", 0.5)
+
     def test_path_validation(self):
         with pytest.raises(ValueError):
             ObservationPath(n=2, T=1.0, times=np.array([0.0, 0.4, 1.0]),
