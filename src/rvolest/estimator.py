@@ -11,6 +11,14 @@ other point S and dS are evaluated once more.  scipy is imported by the
 functions that use it, so `import rvolest` does not load it.  L-BFGS-B runs
 with every OpenBLAS pinned to one thread (see `blas`).
 
+`_lbfgsb` runs scipy's compiled L-BFGS-B kernel, `setulb`, in a plain loop
+with the arguments `scipy.optimize.minimize` passes it, so it returns
+minimize's bits and counts (a test holds them equal) without minimize's
+per-fit setup and per-evaluation wrappers.  On a dp(0.1) `sec6-5-jumpdiff`
+fit (n = 5000) those wrappers took about 0.6 ms, ten times the time spent in
+`setulb`.  `setulb` is private scipy API: its 17-argument form dates from
+scipy 1.15, the floor in pyproject.toml, and a test pins its signature.
+
 Plug-in asymptotic matrices replace (1/T) integral g(X_t, theta_0) dt by
 (1/n) sum_j g(x_{j-1}, theta_hat).  With t_k = tr(S^{-1} d_k S),
 v_kl = tr(S^{-1} d_k S S^{-1} d_l S) and the averages V_e = avg dd^e v and
@@ -193,6 +201,44 @@ def confidence_intervals(
     return ci, avar, u_stat, negative
 
 
+def _lbfgsb(fun, x0, lower, upper, tol, max_iters):
+    """Minimize fun over the box [lower, upper] from x0 with scipy's compiled
+    L-BFGS-B kernel, driven as `scipy.optimize.minimize(fun, x0, jac=True,
+    method="L-BFGS-B", options={"maxiter": max_iters, "gtol": tol,
+    "ftol": 1e-14})` drives it.  fun(x) returns (f, g) and gets a copy of x;
+    a request for the point evaluated last reuses its (f, g), as scipy's
+    `ScalarFunction` does.  Returns (x, f, g, nit, nfev, success).
+    """
+    from scipy.optimize._lbfgsb import setulb
+
+    m, n = 10, x0.size
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    nbd = np.where(has_lower, np.where(has_upper, 2, 1),
+                   np.where(has_upper, 3, 0)).astype(np.int32)  # scipy's bound codes
+    lower, upper = np.where(has_lower, lower, 0.0), np.where(has_upper, upper, 0.0)
+    x, f, g = np.array(x0, dtype=np.float64), 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = 1e-14 / np.finfo(float).eps
+    nit = nfev = 0
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, factr, tol, wa, iwa, task, lsave, isave, dsave,
+               20, ln_task)
+        if task[0] == 3:  # FG: f and g at x
+            if nfev == 0 or not (x == x_last).all():
+                x_last = x.copy()
+                f_last, g_last = fun(x_last)
+                nfev += 1
+            f, g = f_last, g_last.copy()  # setulb may write into g; g_last stays as fun gave it
+        elif task[0] == 1:  # NEW_X
+            nit += 1
+            if nit >= max_iters:
+                task[:] = 5, 504  # STOP: the iteration limit
+        else:
+            return x, f, g, nit, nfev, bool(task[0] == 4)  # CONVERGENCE
+
+
 def estimate(
     path: ObservationPath,
     model: ModelSpec,
@@ -224,20 +270,16 @@ def estimate(
         val, grad = value_and_grad(path, model, theta, config, keep=last, features=features)
         return -val, -grad
 
-    import scipy.optimize
-
     with pinned_to_one_thread():  # L-BFGS-B's LAPACK calls are too small to share
-        res = scipy.optimize.minimize(
-            negated, start, jac=True, method="L-BFGS-B",
-            bounds=list(zip(box.lower, box.upper)),
-            options={"maxiter": opts.max_iters, "gtol": opts.tol, "ftol": 1e-14})
-    theta_hat = box.clamp(res.x)
-    value, grad = -float(res.fun), -res.jac
+        x, f, g, nit, nfev, success = _lbfgsb(negated, start, box.lower, box.upper,
+                                              opts.tol, opts.max_iters)
+    theta_hat = box.clamp(x)
+    value, grad = -float(f), -g
     # exact active bounds of the clamped theta_hat; pg drops what pushes out of the box there
     at_lower, at_upper = theta_hat <= box.lower, theta_hat >= box.upper
     pg = np.where((at_lower & (grad < 0)) | (at_upper & (grad > 0)), 0.0, grad)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    converged = bool(res.success) or pg_norm <= opts.tol
+    converged = success or pg_norm <= opts.tol
 
     # the optimizer's record when its copied theta is theta_hat's bits, else a new one
     record = (last[1] if last and last[0] == theta_hat.tobytes()
@@ -264,8 +306,8 @@ def estimate(
         ci=ci,
         alpha=alpha,
         converged=converged,
-        iterations=int(res.nit),
-        nfev=int(res.nfev),
+        iterations=nit,
+        nfev=nfev,
         projected_grad_norm=pg_norm,
         boundary_active=at_lower | at_upper,
         negative_variance=negative,

@@ -41,6 +41,7 @@ dS.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -120,6 +121,14 @@ def scaled_increments(path: ObservationPath) -> np.ndarray:
     return path.eps
 
 
+def _number(name: str, value) -> float:
+    """A number field as a float: a bool or a non-number (a JSON string, say)
+    raises ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class Variant(enum.Enum):
     GQLF = "gqlf"
     DENSITY_POWER = "dp"
@@ -135,9 +144,9 @@ class RobustConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))  # ValueError if unknown
-        if self.variant is not Variant.GQLF:
-            if not (0.0 < self.lam <= LAMBDA_BAR):
-                raise ValueError(f"lambda must lie in (0, {LAMBDA_BAR}], got {self.lam}")
+        object.__setattr__(self, "lam", _number("lambda", self.lam))
+        if self.variant is not Variant.GQLF and not 0.0 < self.lam <= LAMBDA_BAR:
+            raise ValueError(f"lambda must lie in (0, {LAMBDA_BAR}], got {self.lam}")
 
     @classmethod
     def gqlf(cls) -> "RobustConfig":

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .likelihood import ObservationPath
+from .likelihood import ObservationPath, _number
 from .model import CovariateSource, make_builtin
 
 
@@ -60,14 +60,6 @@ def _count(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not whole or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
-
-
-def _number(name: str, value) -> float:
-    """A number field as a float: a bool or a non-number (a JSON string, say)
-    raises ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _store_numbers(record, *names: str) -> list[float]:

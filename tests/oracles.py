@@ -6,8 +6,9 @@ computation path; the three Gaussian moment identities, written in terms of
 the library's k_const, are checked against it.  A per-increment slogdet/inv
 loop checks the batched Cholesky kernel, a finite-difference Hessian of the
 analytic gradient checks the plug-in curvature matrices, an einsum over
-(n, p, p) stacks checks their weighted Gram products, and a full-grid Euler
-loop checks the self-response models' Euler kernel.
+(n, p, p) stacks checks their weighted Gram products, a full-grid Euler
+loop checks the self-response models' Euler kernel, and
+`scipy.optimize.minimize` checks the estimator's L-BFGS-B loop.
 """
 
 from __future__ import annotations
@@ -256,6 +257,17 @@ def plugin_matrices_einsum(path, model, theta_hat, config):
         sigma = ((k2 / (2.0 * lam + 1.0)) * 0.5 * np.einsum("j,jkl->kl", w_sigma, v) / n
                  + eps_dprime(lam, d) * np.einsum("j,jkl->kl", w_sigma, outer_t) / n)
     return 0.5 * (gamma + gamma.T), 0.5 * (sigma + sigma.T), fisher
+
+
+def lbfgsb_minimize(fun, x0, lower, upper, tol, max_iters):
+    """`estimator._lbfgsb` through `scipy.optimize.minimize`, as `estimate`
+    called it before the loop: (x, f, g, nit, nfev, success)."""
+    import scipy.optimize
+
+    res = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+                                  bounds=list(zip(lower, upper)),
+                                  options={"maxiter": max_iters, "gtol": tol, "ftol": 1e-14})
+    return res.x, res.fun, res.jac, res.nit, res.nfev, res.success
 
 
 def euler_full_grid(model, y0, dw, jumps, h, substeps, theta) -> np.ndarray:

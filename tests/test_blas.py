@@ -62,15 +62,13 @@ def _spike_fit(monkeypatch, pin):
 
 
 def test_lbfgsb_runs_on_one_blas_thread_and_keeps_its_bits(openblas, monkeypatch):
-    import scipy.optimize
+    lbfgsb, during = estimator_mod._lbfgsb, []
 
-    minimize, during = scipy.optimize.minimize, []
-
-    def recording(*args, **kwargs):
+    def recording(*args):
         during.append(_counts(openblas))
-        return minimize(*args, **kwargs)
+        return lbfgsb(*args)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    monkeypatch.setattr(estimator_mod, "_lbfgsb", recording)
     before = _counts(openblas)
     pinned = _spike_fit(monkeypatch, blas_mod.pinned_to_one_thread)
     assert during and set(during[0]) == {1}

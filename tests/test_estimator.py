@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import c_ordered_ds, make_exp_linear_path
-from oracles import hess_objective, plugin_matrices_einsum
+from oracles import hess_objective, lbfgsb_minimize, plugin_matrices_einsum
 
 import rvolest.estimator as estimator_mod
 from rvolest import (
@@ -29,6 +29,7 @@ from rvolest import (
     simulate,
     value_and_grad,
 )
+from rvolest.likelihood import covariate_block
 from rvolest.model import CovariateSource
 
 
@@ -431,6 +432,97 @@ def test_fit_record_keeps_its_bits():
     assert digest.hexdigest() == "b13f49678c830d55e5efd466a2691fe9c6dad671a34df7c8b8e3eb18d5b01e6f"
 
 
+_CONFIGS = {"gqlf": RobustConfig.gqlf(), "dp": RobustConfig.density_power(0.5),
+            "holder": RobustConfig.hoelder(0.5)}
+
+
+def _lbfgsb_problem(case):
+    """(negated objective, the list of its calls, start, lower, upper,
+    max_iters) of a fit named `<kind>-<config>`, `jumpdiff-rep<r>` (gqlf, n = 1000),
+    `external-dp-max_iters2` or `open-box` (exp-linear-3, dp 0.5, on a box
+    with bounds -inf, +inf and one of each: scipy's codes 0, 1 and 3)."""
+    max_iters, config = 500, RobustConfig.density_power(0.5)
+    if case.startswith("jumpdiff-rep"):
+        scenario, config = get_preset("sec6-5-jumpdiff", n=1000, seed=1), RobustConfig.gqlf()
+        path = simulate(scenario, replication=int(case[-1])).observed
+        model = make_builtin(scenario.model.name)
+    elif case == "open-box":
+        path, _, _ = _golden_path("external")
+        model = replace(make_builtin("exp-linear-3"), box=ParameterBox(
+            lower=[-np.inf, -10.0, -np.inf], upper=[np.inf, np.inf, 10.0], initial=[0.0] * 3))
+    elif case == "external-dp-max_iters2":
+        path, model, _ = _golden_path("external")
+        max_iters = 2
+    else:
+        kind, name = case.rsplit("-", 1)
+        path, model, _ = _golden_path(kind)
+        config = _CONFIGS[name]
+    features = model.feature_block(covariate_block(path, model))
+    calls = []
+
+    def negated(theta):
+        calls.append(theta)
+        value, grad = value_and_grad(path, model, theta, config, features=features)
+        return -value, -grad
+
+    box = model.box
+    return negated, calls, box.clamp(box.initial), box.lower, box.upper, max_iters
+
+
+@pytest.mark.parametrize("case", [f"{kind}-{name}" for kind in ("external", "self-response", "d2")
+                                  for name in _CONFIGS]
+                         + ["jumpdiff-rep0", "jumpdiff-rep1", "jumpdiff-rep2",
+                            "external-dp-max_iters2", "open-box"])
+def test_lbfgsb_loop_matches_scipy_minimize(case):
+    # the loop that drives scipy's compiled kernel gives minimize's x bits,
+    # f, g, iteration and evaluation counts and success flag, and its nfev
+    # counts the objective's calls
+    negated, calls, start, lower, upper, max_iters = _lbfgsb_problem(case)
+    x, f, g, nit, nfev, success = estimator_mod._lbfgsb(negated, start, lower, upper, 1e-8,
+                                                        max_iters)
+    assert nfev == len(calls)
+    want = lbfgsb_minimize(negated, start, lower, upper, 1e-8, max_iters)
+    assert x.tobytes() == want[0].tobytes()
+    assert f == want[1]
+    np.testing.assert_array_equal(g, want[2])
+    assert (nit, nfev, success) == tuple(want[3:])
+    if case == "jumpdiff-rep2" or case.endswith("max_iters2"):
+        assert not success
+    if case.endswith("max_iters2"):
+        assert nit == 2
+
+
+def test_lbfgsb_loop_reuses_a_re_requested_point(monkeypatch):
+    # the d2 dp golden fit asks for f and g at its last point again; the loop
+    # answers from its copy, as scipy's ScalarFunction does, which keeps
+    # minimize's nfev of 24
+    import scipy.optimize._lbfgsb as kernel
+
+    setulb, requests = kernel.setulb, []
+
+    def counting(*args):
+        setulb(*args)
+        if args[11][0] == 3:  # task FG
+            requests.append(args[1].copy())
+
+    monkeypatch.setattr(kernel, "setulb", counting)
+    negated, calls, start, lower, upper, max_iters = _lbfgsb_problem("d2-dp")
+    nfev = estimator_mod._lbfgsb(negated, start, lower, upper, 1e-8, max_iters)[4]
+    assert nfev == len(calls) == 24
+    assert len(requests) > nfev
+    assert any((a == b).all() for a, b in zip(requests[1:], requests))
+
+
+def test_setulb_keeps_the_signature_the_loop_calls():
+    # estimator._lbfgsb calls scipy's private compiled L-BFGS-B kernel with
+    # these 17 positional arguments, the C kernel's signature since scipy 1.15
+    # (pyproject's floor); a scipy that changes it must fail here, not fit wrong
+    from scipy.optimize._lbfgsb import setulb
+
+    assert setulb.__doc__.splitlines()[0] == (
+        "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)")
+
+
 @pytest.mark.parametrize("kind", ["external", "self-response", "d2",
                                   "external-c-order", "self-response-c-order"])
 @pytest.mark.parametrize("config", [RobustConfig.gqlf(), RobustConfig.density_power(0.1),
@@ -500,20 +592,18 @@ class TestPluginReuse:
         # the optimizer evaluates one more point after it has finished, then
         # writes theta_hat into the buffer it passed: a record kept by
         # reference, or taken without a check, would be the wrong point's
-        import scipy.optimize
-
         path, model = _reuse_case(kind, rng)
         config = RobustConfig.density_power(0.5)
-        real = scipy.optimize.minimize
+        real = estimator_mod._lbfgsb
 
-        def one_more(fun, x0, **kwargs):
-            res = real(fun, x0, **kwargs)
-            buffer = res.x + 0.05
+        def one_more(fun, *args):
+            out = real(fun, *args)
+            buffer = out[0] + 0.05
             fun(buffer)
-            buffer[:] = res.x
-            return res
+            buffer[:] = out[0]
+            return out
 
-        monkeypatch.setattr(scipy.optimize, "minimize", one_more)
+        monkeypatch.setattr(estimator_mod, "_lbfgsb", one_more)
         res = estimate(path, model, config)
         monkeypatch.undo()
         _assert_plugin_bits(res, path, model, config)

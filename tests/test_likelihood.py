@@ -251,6 +251,22 @@ class TestValidationAndErrors:
         assert RobustConfig.hoelder(LAMBDA_BAR).lam == LAMBDA_BAR  # closed at the bar
         assert RobustConfig.gqlf().variant is Variant.GQLF
 
+    @pytest.mark.parametrize("name", ["gqlf", "dp", "holder"])
+    @pytest.mark.parametrize("lam", ["0.5", True, False, None, 0.5j],
+                             ids=["str", "true", "false", "none", "complex"])
+    def test_robust_config_rejects_a_lambda_that_is_not_a_real_number(self, name, lam):
+        # "0.5" used to raise TypeError from the range check, and True passed it
+        with pytest.raises(ValueError, match="lambda must be a number"):
+            RobustConfig(name, lam)
+
+    @pytest.mark.parametrize("lam", [1, np.float32(0.5), np.float64(0.25), np.int64(1)],
+                             ids=["int", "float32", "float64", "int64"])
+    def test_robust_config_stores_lambda_as_a_float(self, lam):
+        # a float32 lambda was stored as float32, and so computed in float32
+        for config in (RobustConfig.density_power(lam), RobustConfig.hoelder(lam),
+                       RobustConfig(Variant.GQLF, lam)):
+            assert type(config.lam) is float and config.lam == float(lam)
+
     @pytest.mark.parametrize("name, lam", [("gqlf", 0.0), ("dp", 0.5), ("holder", 0.5)])
     def test_robust_config_coerces_a_variant_name(self, name, lam):
         # a name used to reach the objective as a str: "dp" evaluated the
