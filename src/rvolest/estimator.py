@@ -1,7 +1,11 @@
 """Box-constrained maximization of a quasi-likelihood and plug-in inference.
 
-The maximizer is projected quasi-Newton (L-BFGS-B) over the model's parameter
-box, driven by the analytic gradient; it is the only optimizer.  The box must
+The maximizer is L-BFGS-B (projected quasi-Newton) over the model's parameter
+box, driven by the analytic gradient.  It stops when the projected gradient is
+at most `OptimizerOptions.tol` or an iteration lowers f = -objective by at
+most n eps max(|f_old|, |f|, 1) (factr = n), the rounding of a sum of n terms,
+below which a line search fails at the optimum.  `converged` is L-BFGS-B's
+verdict, false at the iteration limit or a failed line search.  The box must
 keep S(x, theta) SPD: a trial point where factorization fails raises
 CholeskyFailure with the offending increment index, so a failed evaluation
 never turns into a reported success.  The value and gradient at theta_hat are
@@ -12,12 +16,10 @@ functions that use it, so `import rvolest` does not load it.  L-BFGS-B runs
 with every OpenBLAS pinned to one thread (see `blas`).
 
 `_lbfgsb` runs scipy's compiled L-BFGS-B kernel, `setulb`, in a plain loop
-with the arguments `scipy.optimize.minimize` passes it, so it returns
-minimize's bits and counts (a test holds them equal) without minimize's
-per-fit setup and per-evaluation wrappers.  On a dp(0.1) `sec6-5-jumpdiff`
-fit (n = 5000) those wrappers took about 0.6 ms, ten times the time spent in
-`setulb`.  `setulb` is private scipy API: its 17-argument form dates from
-scipy 1.15, the floor in pyproject.toml, and a test pins its signature.
+with the arguments, bits and counts of `scipy.optimize.minimize` (a test holds
+them equal), without its per-fit setup and per-evaluation wrappers.  `setulb`
+is private scipy API: its 17-argument form dates from scipy 1.15, the floor in
+pyproject.toml, and a test pins its signature.
 
 Plug-in asymptotic matrices replace (1/T) integral g(X_t, theta_0) dt by
 (1/n) sum_j g(x_{j-1}, theta_hat).  With t_k = tr(S^{-1} d_k S),
@@ -201,12 +203,12 @@ def confidence_intervals(
     return ci, avar, u_stat, negative
 
 
-def _lbfgsb(fun, x0, lower, upper, tol, max_iters):
+def _lbfgsb(fun, x0, lower, upper, tol, max_iters, factr):
     """Minimize fun over the box [lower, upper] from x0 with scipy's compiled
     L-BFGS-B kernel, driven as `scipy.optimize.minimize(fun, x0, jac=True,
     method="L-BFGS-B", options={"maxiter": max_iters, "gtol": tol,
-    "ftol": 1e-14})` drives it.  fun(x) returns (f, g) and gets a copy of x;
-    a request for the point evaluated last reuses its (f, g), as scipy's
+    "ftol": factr * eps})` drives it.  fun(x) returns (f, g) and gets a copy
+    of x; a request for the point evaluated last reuses its (f, g), as scipy's
     `ScalarFunction` does.  Returns (x, f, g, nit, nfev, success).
     """
     from scipy.optimize._lbfgsb import setulb
@@ -220,7 +222,6 @@ def _lbfgsb(fun, x0, lower, upper, tol, max_iters):
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa, task, ln_task = np.zeros(3 * n, np.int32), np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    factr = 1e-14 / np.finfo(float).eps
     nit = nfev = 0
     while True:
         setulb(m, x, lower, upper, nbd, f, g, factr, tol, wa, iwa, task, lsave, isave, dsave,
@@ -271,15 +272,14 @@ def estimate(
         return -val, -grad
 
     with pinned_to_one_thread():  # L-BFGS-B's LAPACK calls are too small to share
-        x, f, g, nit, nfev, success = _lbfgsb(negated, start, box.lower, box.upper,
-                                              opts.tol, opts.max_iters)
+        x, f, g, nit, nfev, converged = _lbfgsb(negated, start, box.lower, box.upper,
+                                                opts.tol, opts.max_iters, path.n)
     theta_hat = box.clamp(x)
     value, grad = -float(f), -g
     # exact active bounds of the clamped theta_hat; pg drops what pushes out of the box there
     at_lower, at_upper = theta_hat <= box.lower, theta_hat >= box.upper
     pg = np.where((at_lower & (grad < 0)) | (at_upper & (grad > 0)), 0.0, grad)
     pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    converged = success or pg_norm <= opts.tol
 
     # the optimizer's record when its copied theta is theta_hat's bits, else a new one
     record = (last[1] if last and last[0] == theta_hat.tobytes()

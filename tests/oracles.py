@@ -259,14 +259,14 @@ def plugin_matrices_einsum(path, model, theta_hat, config):
     return 0.5 * (gamma + gamma.T), 0.5 * (sigma + sigma.T), fisher
 
 
-def lbfgsb_minimize(fun, x0, lower, upper, tol, max_iters):
-    """`estimator._lbfgsb` through `scipy.optimize.minimize`, as `estimate`
-    called it before the loop: (x, f, g, nit, nfev, success)."""
+def lbfgsb_minimize(fun, x0, lower, upper, tol, max_iters, ftol):
+    """`estimator._lbfgsb` with factr = ftol / eps through
+    `scipy.optimize.minimize`: (x, f, g, nit, nfev, success)."""
     import scipy.optimize
 
     res = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
                                   bounds=list(zip(lower, upper)),
-                                  options={"maxiter": max_iters, "gtol": tol, "ftol": 1e-14})
+                                  options={"maxiter": max_iters, "gtol": tol, "ftol": ftol})
     return res.x, res.fun, res.jac, res.nit, res.nfev, res.success
 
 

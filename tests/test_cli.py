@@ -314,11 +314,11 @@ class TestMonteCarloCommand:
 
     @pytest.mark.parametrize("flags, expected", [
         (["--preset", "sec6-5-jumpdiff", "--variant", "gqlf,dp", "--lambda", "0.1"],
-         ("ee3185c4d92b443a9dc413c3b3b54a09f64a0e11dfb54ef25bc021ebc217ef61",
-          "4bf5688e501f4b99b4dfa5ce3ac6496ca4816fc8ca84fb51edf63d13717d5915")),
+         ("f1ee27159f74c25b7740b5486a217581d52b8a1b07eb3843633023a05c4e9bf0",
+          "765db908de7c8ed66bda5ce2acca44a2270f2d2a25b9e4d14a2fe76d7ccc9c49")),
         (["--preset", "sec6-1-spike", "--variant", "gqlf,dp,holder", "--lambda", "0.1,0.5"],
-         ("1a0acf22823f57ac25fffa97775584209186d5789327eb04618b6e1e3bafb09e",
-          "7bed623fa296b55782f4e7cc6f91cd29f5852a728fced9bb362215918302f038")),
+         ("8c8decb3fa580e50c17e539f23864f4b3d57422c0eddb9c9b47e79e03fad7b46",
+          "7dad4b07b3938f7eaa297bf16e8a440fddfaace04cbef0c50becdb835bbb7f86")),
     ], ids=["jumpdiff", "spike"])
     def test_raw_csvs_keep_their_bytes(self, flags, expected, tmp_path):
         # sha256 of raw_theta.csv and raw_u.csv of a serial run: a refactor of the
@@ -391,10 +391,10 @@ class TestClusterCommand:
 
     @pytest.mark.parametrize("flags, expected", [
         (["--k-range", "2:10"],
-         {"clusters.csv": "8a320c39d1444aef830bbdd89e29ee5170d2ff897e502f18bb7d6eab271e90a2",
+         {"clusters.csv": "f0a4de36d651043c4a75fd256c4954464ef46eb8ead834e24155963b05a043b7",
           "k_sweep.csv": "71aafdf71cc91794de11e8e1f3c6aab6a079c3fd0062ca8793155edfe9d1a38b"}),
         (["--k", "3"],
-         {"clusters.csv": "8a320c39d1444aef830bbdd89e29ee5170d2ff897e502f18bb7d6eab271e90a2"}),
+         {"clusters.csv": "f0a4de36d651043c4a75fd256c4954464ef46eb8ead834e24155963b05a043b7"}),
     ], ids=["scan", "fixed-k"])
     def test_files_keep_their_bytes(self, flags, expected, tmp_path, capsys):
         # sha256 of the written files; the scan suggests K=3 on this path, so a
